@@ -7,7 +7,8 @@ agreement verdict), `roots` (complex + certified real roots), `limits`
 verification suite).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 enumeration budget exceeded, 4 computation paths disagree.
+3 enumeration budget exceeded, 4 computation paths disagree, 5 the
+complex solver missed its residual tolerance.
 Identical inputs produce byte-identical outputs.
 """
 
@@ -16,8 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from fractions import Fraction
+
 import mpmath
 
 from .domination import (
@@ -30,10 +34,8 @@ from .domination import (
 )
 from .equivalence import bundled_catalog_text, partition_catalog
 from .graphs import (
-    CapExceededError,
     FamilySpec,
     Graph,
-    Graph6ParseError,
     build_family,
     parse_graph6,
 )
@@ -46,13 +48,21 @@ from .limits import (
     friendship_limit_curve,
 )
 from .polynomials import DEFAULT_PRECISION, MIN_PRECISION, IntPolynomial
-from .roots import DEFAULT_TOL, all_roots, integer_roots, real_roots_exact
+from .roots import (
+    DEFAULT_TOL,
+    ConvergenceError,
+    RootSet,
+    all_roots,
+    integer_roots,
+    real_roots_exact,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREE = 4
+EXIT_NUMERIC = 5
 
 PRECISION_ENV = "DOMPOLY_PRECISION"
 
@@ -67,6 +77,15 @@ def _default_precision() -> int:
         raise ValueError(f"{PRECISION_ENV}={raw!r} is not an integer") from None
     if value < MIN_PRECISION:
         raise ValueError(f"{PRECISION_ENV} must be >= {MIN_PRECISION}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float > 0.  NaN would switch the
+    residual gate off, since no comparison with it is true."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return value
 
 
@@ -91,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--precision", type=int, default=None,
                         help=f"working precision in bits (>= {MIN_PRECISION}; "
                              f"default ${PRECISION_ENV} or {DEFAULT_PRECISION})")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="residual tolerance for the complex solver")
 
     def add_inputs(sp):
@@ -163,9 +182,9 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (Graph6ParseError, CapExceededError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -203,14 +222,11 @@ def _poly_methods(label: str, spec: FamilySpec | None, graph: Graph | None,
                   method: str | None) -> dict[str, IntPolynomial]:
     method = method or ("closed" if spec else "brute")
     out: dict[str, IntPolynomial] = {}
-    if method in ("closed", "all"):
-        if spec is None:
-            if method == "closed":
-                raise ValueError(
-                    f"{label}: no closed form for an explicit graph; "
-                    f"use --method brute")
-        else:
-            out["closed"] = family_poly(spec)
+    if method in ("closed", "all") and spec is not None:
+        out["closed"] = family_poly(spec)
+    elif method == "closed":
+        raise ValueError(f"{label}: no closed form for an explicit graph; "
+                         f"use --method brute")
     if method in ("brute", "recurrence", "all"):
         g = graph
         if g is None:
@@ -281,9 +297,13 @@ def _csv_buffer(header, rows) -> str:
 # -- roots ------------------------------------------------------------------
 
 
-def _input_poly(label: str, spec: FamilySpec | None,
-                graph: Graph | None) -> IntPolynomial:
-    return family_poly(spec) if spec else brute_force_poly(graph)
+def _root_rows(root_set: RootSet) -> list[list[str]]:
+    """(re, im, residual) rows, one per root counted with multiplicity."""
+    rows = [["0", "0", "0"]] * root_set.zero_multiplicity
+    for r in root_set.complex_roots:
+        rows += [[_nstr(r.value.real), _nstr(r.value.imag),
+                  repr(r.residual)]] * r.multiplicity
+    return rows
 
 
 def cmd_roots(args) -> int:
@@ -291,11 +311,21 @@ def cmd_roots(args) -> int:
     jobs = _resolve_inputs(args)
     reports = []
     for label, spec, graph in jobs:
-        poly = _input_poly(label, spec, graph)
-        intervals = real_roots_exact(poly)
-        ints = integer_roots(poly)
-        root_set = None if args.real_only else all_roots(poly, precision, args.tol)
-        reports.append((label, poly, intervals, ints, root_set))
+        poly = family_poly(spec) if spec else brute_force_poly(graph)
+        if args.real_only:
+            reports.append((label, poly, real_roots_exact(poly),
+                            integer_roots(poly), None))
+            continue
+        if poly.degree < 1:
+            # a constant, such as D(K0) = 1, has no roots to solve for
+            root_set = RootSet(poly.degree, 0, (), (), ())
+        else:
+            root_set = all_roots(poly, precision, args.tol)
+        # RootSet leaves the exact root 0 out of its real intervals
+        zero = [(Fraction(0), Fraction(0))] if root_set.zero_multiplicity else []
+        intervals = sorted([*root_set.real_intervals, *zero], key=lambda iv: iv[0])
+        reports.append((label, poly, intervals, list(root_set.integer_roots),
+                        root_set))
 
     if args.format == "json":
         payload = []
@@ -324,16 +354,10 @@ def cmd_roots(args) -> int:
         rows = []
         for label, poly, intervals, ints, root_set in reports:
             if root_set is None:
-                for lo, hi in intervals:
-                    rows.append([f"{float((lo + hi) / 2):.10g}", "0",
-                                 repr(float(hi - lo))])
+                rows += [[f"{float((lo + hi) / 2):.10g}", "0", repr(float(hi - lo))]
+                         for lo, hi in intervals]
             else:
-                for _ in range(root_set.zero_multiplicity):
-                    rows.append(["0", "0", "0"])
-                for r in root_set.complex_roots:
-                    for _ in range(r.multiplicity):
-                        rows.append([_nstr(r.value.real), _nstr(r.value.imag),
-                                     repr(r.residual)])
+                rows += _root_rows(root_set)
         _emit(args, _csv_buffer(["re", "im", "residual"], rows))
     else:
         lines = []
@@ -387,16 +411,23 @@ def _scatter_rows(family: str, n_max: int, precision: int, tol: float):
     max_modulus = []
     for n in range(1, n_max + 1):
         root_set = all_roots(family_poly(FamilySpec(family, n)), precision, tol)
-        for _ in range(root_set.zero_multiplicity):
-            rows.append(["0", "0", "0"])
-        biggest = 0.0
-        for r in root_set.complex_roots:
-            biggest = max(biggest, float(abs(r.value)))
-            for _ in range(r.multiplicity):
-                rows.append([_nstr(r.value.real), _nstr(r.value.imag),
-                             repr(r.residual)])
-        max_modulus.append((n, biggest))
+        rows += _root_rows(root_set)
+        moduli = [float(abs(r.value)) for r in root_set.complex_roots]
+        max_modulus.append((n, max(moduli, default=0.0)))
     return rows, max_modulus
+
+
+def _write_limits_csv(rows, curve, scatter_fh, curve_fh) -> None:
+    writer = csv.writer(scatter_fh, lineterminator="\n")
+    writer.writerow(["re", "im", "residual"])
+    writer.writerows(rows)
+    writer = csv.writer(curve_fh, lineterminator="\n")
+    writer.writerow(["re", "im", "piece"])
+    for piece in curve.pieces:
+        for z in piece.points:
+            writer.writerow([repr(z.real), repr(z.imag), piece.implicit_id])
+    for z in curve.isolated_points:
+        writer.writerow([repr(z.real), repr(z.imag), "isolated"])
 
 
 def export_limits_csv(family: str, n_max: int, scatter_fh, curve_fh,
@@ -407,42 +438,31 @@ def export_limits_csv(family: str, n_max: int, scatter_fh, curve_fh,
 
     Returns the per-member maximum root modulus for the text summary.
     """
-    grid = grid or GridRegion()
     rows, max_modulus = _scatter_rows(family, n_max, precision, tol)
-    writer = csv.writer(scatter_fh, lineterminator="\n")
-    writer.writerow(["re", "im", "residual"])
-    writer.writerows(rows)
-    curve = _limit_curve(family, method, samples, grid)
-    writer = csv.writer(curve_fh, lineterminator="\n")
-    writer.writerow(["re", "im", "piece"])
-    for piece in curve.pieces:
-        for z in piece.points:
-            writer.writerow([repr(z.real), repr(z.imag), piece.implicit_id])
-    for z in curve.isolated_points:
-        writer.writerow([repr(z.real), repr(z.imag), "isolated"])
+    curve = _limit_curve(family, method, samples, grid or GridRegion())
+    _write_limits_csv(rows, curve, scatter_fh, curve_fh)
     return max_modulus
 
 
 def cmd_limits(args) -> int:
     precision = args.precision or _default_precision()
     grid = _parse_grid(args.grid, args.resolution)
+    rows, max_modulus = _scatter_rows(args.family, args.n_max, precision,
+                                      args.tol)
     lines = [f"# {args.family} family, members 1..{args.n_max}"]
+    if args.export:
+        curve = _limit_curve(args.family, args.method, args.samples, grid)
+        os.makedirs(args.output_dir, exist_ok=True)
     if args.export == "csv":
         scatter_path = os.path.join(args.output_dir,
                                     f"{args.family}_scatter.csv")
         curve_path = os.path.join(args.output_dir, f"{args.family}_curve.csv")
-        os.makedirs(args.output_dir, exist_ok=True)
         with open(scatter_path, "w", encoding="utf-8") as sfh, \
                 open(curve_path, "w", encoding="utf-8") as cfh:
-            max_modulus = export_limits_csv(args.family, args.n_max, sfh, cfh,
-                                            precision, args.tol, args.samples,
-                                            args.method, grid)
+            _write_limits_csv(rows, curve, sfh, cfh)
         lines.append(f"wrote {scatter_path}")
         lines.append(f"wrote {curve_path}")
     elif args.export == "json":
-        rows, max_modulus = _scatter_rows(args.family, args.n_max, precision,
-                                          args.tol)
-        curve = _limit_curve(args.family, args.method, args.samples, grid)
         payload = {
             "family": args.family,
             "n_max": args.n_max,
@@ -460,14 +480,10 @@ def cmd_limits(args) -> int:
                                 for z in curve.isolated_points],
         }
         path = os.path.join(args.output_dir, f"{args.family}_limits.json")
-        os.makedirs(args.output_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         lines.append(f"wrote {path}")
-    else:
-        _, max_modulus = _scatter_rows(args.family, args.n_max, precision,
-                                       args.tol)
     lines.append("max root modulus by member (exploratory growth data):")
     for n, biggest in max_modulus:
         lines.append(f"  n={n}: {biggest:.6f}")

@@ -15,7 +15,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     bitset_members,
-    build_family,
     contract,
     corona,
     delete_closed_neighborhood,
@@ -98,11 +97,6 @@ def restricted_count(g: Graph, u: int,
 
 
 # -- product and join formulas ------------------------------------------------
-
-def union_poly(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Domination polynomial of a disjoint union: the product."""
-    return p * q
-
 
 def join_poly(p: IntPolynomial, n1: int, q: IntPolynomial, n2: int) -> IntPolynomial:
     """Domination polynomial of the join of graphs of orders n1 and n2
@@ -196,16 +190,23 @@ def family_poly(spec: FamilySpec) -> IntPolynomial:
     raise AssertionError(kind)
 
 
-def _path_poly(n: int) -> IntPolynomial:
-    """Left-to-right sweep; state of the last vertex: in the set, out but
-    dominated, or out and still needing its right neighbor."""
-    in_s, dominated, needy = X, IntPolynomial(), ONE
-    for _ in range(n - 1):
+def _sweep(in_s: IntPolynomial, dominated: IntPolynomial, needy: IntPolynomial,
+           steps: int) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
+    """Extend a path by `steps` vertices, left to right.  The three
+    polynomials count partial sets by the state of the last vertex: in the
+    set, out but dominated, or out and still needing its right neighbor."""
+    for _ in range(steps):
         in_s, dominated, needy = (
             X * (in_s + dominated + needy),
             in_s,
             dominated,
         )
+    return in_s, dominated, needy
+
+
+def _path_poly(n: int) -> IntPolynomial:
+    """Sweep from the first vertex; the last vertex may not stay needy."""
+    in_s, dominated, _ = _sweep(X, IntPolynomial(), ONE, n - 1)
     return in_s + dominated
 
 
@@ -214,25 +215,15 @@ def _cycle_poly(n: int) -> IntPolynomial:
     cycle; n >= 3."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-
-    def sweep(in_s, dominated, needy, steps):
-        for _ in range(steps):
-            in_s, dominated, needy = (
-                X * (in_s + dominated + needy),
-                in_s,
-                dominated,
-            )
-        return in_s, dominated, needy
-
     # first vertex in the set: last vertex may stay needy (the wrap edge
     # dominates it)
-    a0, a1, a2 = sweep(X * X, X, IntPolynomial(), n - 2)
+    a0, a1, a2 = _sweep(X * X, X, IntPolynomial(), n - 2)
     total = a0 + a1 + a2
     # first vertex out, second in: first is dominated; last must manage alone
-    b0, b1, b2 = sweep(X, IntPolynomial(), IntPolynomial(), n - 2)
+    b0, b1, b2 = _sweep(X, IntPolynomial(), IntPolynomial(), n - 2)
     total += b0 + b1
     # first and second out: last vertex must be in the set to dominate the first
-    c0, c1, c2 = sweep(IntPolynomial(), IntPolynomial(), ONE, n - 3)
+    c0, c1, c2 = _sweep(IntPolynomial(), IntPolynomial(), ONE, n - 3)
     total += X * (c0 + c1 + c2)
     return total
 
@@ -257,23 +248,3 @@ def corona_family_poly(kind: str, base_order: int, n: int, depth: int) -> IntPol
         order *= 1 + m
     return poly
 
-
-def graph_poly(g: Graph, budget_bits: int = BRUTE_FORCE_BUDGET_BITS) -> IntPolynomial:
-    """Domination polynomial of an arbitrary graph (brute force path)."""
-    return brute_force_poly(g, budget_bits)
-
-
-def all_method_polys(spec: FamilySpec,
-                     budget_bits: int = BRUTE_FORCE_BUDGET_BITS) -> dict[str, IntPolynomial]:
-    """Every applicable computation path for a family member, keyed by name.
-
-    Brute force and the recurrences (pivoting on the distinguished vertex 0)
-    are included only within the enumeration budget.
-    """
-    out = {"closed": family_poly(spec)}
-    if spec.order <= budget_bits:
-        g = build_family(spec)
-        out["brute"] = brute_force_poly(g, budget_bits)
-        out["recurrence-vertex"] = recurrence_poly_vertex(g, 0, budget_bits)
-        out["recurrence-odot"] = recurrence_poly_odot(g, 0, budget_bits)
-    return out

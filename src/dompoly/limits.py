@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .graphs import FamilySpec
-from .polynomials import ONE, X, IntPolynomial
+from .polynomials import ONE, X, IntPolynomial, horner
 from .roots import all_roots
 
 BOOK_JUNCTION_RE = -1.5 - math.sqrt(2) / 2  # where the book arcs meet
@@ -32,31 +32,9 @@ _CHORDAL_SAMPLES = 513  # odd: the real-axis vertices are among the samples
 
 
 @dataclass(frozen=True)
-class TwoTermFamily:
-    """f_n = alpha1 * lambda1^n + alpha2 * lambda2^n."""
-
-    alpha1: IntPolynomial
-    lambda1: IntPolynomial
-    alpha2: IntPolynomial
-    lambda2: IntPolynomial
-
-    def __post_init__(self):
-        for name in ("alpha1", "lambda1", "alpha2", "lambda2"):
-            if getattr(self, name).is_zero:
-                raise ValueError(f"{name} must be nonzero")
-
-    @property
-    def alphas(self) -> tuple[IntPolynomial, ...]:
-        return (self.alpha1, self.alpha2)
-
-    @property
-    def lambdas(self) -> tuple[IntPolynomial, ...]:
-        return (self.lambda1, self.lambda2)
-
-
-@dataclass(frozen=True)
 class ExponentialFamily:
-    """k-term generalization; k = 3 covers the book polynomials."""
+    """f_n = sum_i alphas[i] * lambdas[i]^n over k >= 2 terms; k = 2 covers
+    the friendship polynomials and k = 3 the book polynomials."""
 
     alphas: tuple[IntPolynomial, ...]
     lambdas: tuple[IntPolynomial, ...]
@@ -71,7 +49,7 @@ class ExponentialFamily:
                 raise ValueError("family terms must be nonzero")
 
 
-def family_member(fam, n: int) -> IntPolynomial:
+def family_member(fam: ExponentialFamily, n: int) -> IntPolynomial:
     """Exact n-th member alpha1*lambda1^n + ... of a family."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -81,27 +59,21 @@ def family_member(fam, n: int) -> IntPolynomial:
     return total
 
 
-def shift_poly(p: IntPolynomial, c: int) -> IntPolynomial:
-    """Exact composition p(x + c); the change of variable between the x and
-    y = 1 + x presentations of the friendship family."""
-    return p.shift(c)
-
-
-def friendship_family(variable: str = "x") -> TwoTermFamily:
+def friendship_family(variable: str = "x") -> ExponentialFamily:
     """The friendship-graph family as a two-term exponential family.
 
     In x: 1*(x^2+2x)^n + x*((1+x)^2)^n, which is D(friendship:n, x) exactly.
     In y = 1+x: 1*(y^2-1)^n + (y-1)*(y^2)^n, the shifted presentation.
     """
     if variable == "x":
-        return TwoTermFamily(
-            alpha1=ONE, lambda1=IntPolynomial((0, 2, 1)),
-            alpha2=X, lambda2=IntPolynomial((1, 2, 1)),
+        return ExponentialFamily(
+            alphas=(ONE, X),
+            lambdas=(IntPolynomial((0, 2, 1)), IntPolynomial((1, 2, 1))),
         )
     if variable == "y":
-        return TwoTermFamily(
-            alpha1=ONE, lambda1=IntPolynomial((-1, 0, 1)),
-            alpha2=IntPolynomial((-1, 1)), lambda2=IntPolynomial((0, 0, 1)),
+        return ExponentialFamily(
+            alphas=(ONE, IntPolynomial((-1, 1))),
+            lambdas=(IntPolynomial((-1, 0, 1)), IntPolynomial((0, 0, 1))),
         )
     raise ValueError("variable must be 'x' or 'y'")
 
@@ -134,9 +106,6 @@ class CurvePiece:
 class LimitCurve:
     pieces: tuple[CurvePiece, ...]
     isolated_points: tuple[complex, ...] = ()
-
-    def all_points(self) -> list[complex]:
-        return [z for piece in self.pieces for z in piece.points]
 
 
 def hyperbola_residual(z: complex) -> float:
@@ -251,14 +220,7 @@ class GridRegion:
             raise ValueError("grid needs at least 2 cells per axis")
 
 
-def _eval_c(p: IntPolynomial, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(p.coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def bkw_limit_points(family, grid: GridRegion | None = None,
+def bkw_limit_points(family: ExponentialFamily, grid: GridRegion | None = None,
                      tol: float = 1e-12) -> LimitCurve:
     """Trace the limit-of-roots set of an exponential family on a grid.
 
@@ -299,8 +261,8 @@ def bkw_limit_points(family, grid: GridRegion | None = None,
         candidates = [0j] * (1 if root_set.zero_multiplicity else 0)
         candidates += [complex(r.value) for r in root_set.complex_roots]
         for z in candidates:
-            mj = abs(_eval_c(lambdas[j], z))
-            others = [abs(_eval_c(lambdas[i], z)) for i in range(k) if i != j]
+            mj = abs(horner(lambdas[j].coeffs, z))
+            others = [abs(horner(lambdas[i].coeffs, z)) for i in range(k) if i != j]
             if mj > max(others) + _DOMINANCE_SLACK * max(1.0, mj):
                 isolated.append(z)
     isolated.sort(key=lambda z: (z.real, z.imag))
@@ -314,9 +276,9 @@ def _reject_degenerate(lambdas: Sequence[IntPolynomial]) -> None:
             for t in range(_DEGENERACY_SAMPLES):
                 ang = 2 * math.pi * t / _DEGENERACY_SAMPLES + 0.1
                 z = 1.234567 * complex(math.cos(ang), math.sin(ang))
-                den = _eval_c(lambdas[j], z)
+                den = horner(lambdas[j].coeffs, z)
                 if abs(den) > 1e-9:
-                    ratios.append(_eval_c(lambdas[i], z) / den)
+                    ratios.append(horner(lambdas[i].coeffs, z) / den)
             if len(ratios) >= 5:
                 spread = max(abs(r - ratios[0]) for r in ratios)
                 if spread < 1e-9 and abs(abs(ratios[0]) - 1) < 1e-9:
@@ -333,7 +295,7 @@ def _grid_moduli(lambdas, grid) -> list[list[list[float]]]:
         for c in range(grid.re_cells + 1):
             re = _lerp(grid.re_min, grid.re_max, c / grid.re_cells)
             z = complex(re, im)
-            row.append([abs(_eval_c(lam, z)) for lam in lambdas])
+            row.append([abs(horner(lam.coeffs, z)) for lam in lambdas])
         nodes.append(row)
     return nodes
 
@@ -342,17 +304,17 @@ def _pair_residual(lambdas, i, j) -> Callable[[complex], float]:
     li, lj = lambdas[i], lambdas[j]
 
     def gap(z: complex) -> float:
-        return abs(abs(_eval_c(li, z)) - abs(_eval_c(lj, z)))
+        return abs(abs(horner(li.coeffs, z)) - abs(horner(lj.coeffs, z)))
 
     return gap
 
 
 def _trace_pair(lambdas, i, j, grid: GridRegion, moduli, tol: float) -> list[complex]:
     def g(z: complex) -> float:
-        return abs(_eval_c(lambdas[i], z)) - abs(_eval_c(lambdas[j], z))
+        return abs(horner(lambdas[i].coeffs, z)) - abs(horner(lambdas[j].coeffs, z))
 
     def dominated(z: complex) -> bool:
-        mods = [abs(_eval_c(lam, z)) for lam in lambdas]
+        mods = [abs(horner(lam.coeffs, z)) for lam in lambdas]
         tied = max(mods[i], mods[j])
         others = [m for t, m in enumerate(mods) if t not in (i, j)]
         return not others or tied >= max(others) - _DOMINANCE_SLACK * max(1.0, tied)
@@ -514,11 +476,3 @@ def friendship_root_spray(n: int, precision: int = 256,
     curve = friendship_limit_curve(samples=samples, im_max=im_max)
     return pts, [distance_to_curve(z, curve) for z in pts]
 
-
-def friendship_root_distances(n: int, precision: int = 256,
-                              exclusion_radius: float = 0.15,
-                              samples: int = 4001) -> list[float]:
-    """Distances from the nonzero roots of the n-th friendship polynomial to
-    the hyperbola, excluding a disk around the isolated limit point 0; see
-    friendship_root_spray."""
-    return friendship_root_spray(n, precision, exclusion_radius, samples)[1]

@@ -66,12 +66,6 @@ class IntPolynomial:
         return cls((c,))
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPolynomial":
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        return cls((0,) * power + (coeff,))
-
-    @classmethod
     def from_coeff_string(cls, text: str) -> "IntPolynomial":
         """Parse the serialization produced by :meth:`to_coeff_string`.
 
@@ -194,10 +188,7 @@ class IntPolynomial:
 
     def eval_int(self, point: Scalar) -> Scalar:
         """Exact Horner evaluation at an integer or Fraction point."""
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        return horner(self.coeffs, point)
 
     def eval_complex(self, z, precision: int | None = None) -> mpmath.mpc:
         """Horner evaluation at a complex point, at `precision` bits.
@@ -207,11 +198,7 @@ class IntPolynomial:
         """
         prec = _working_precision(self, precision)
         with mpmath.workprec(prec):
-            acc = mpmath.mpc(0)
-            zc = mpmath.mpc(z)
-            for c in reversed(self.coeffs):
-                acc = acc * zc + c
-            return acc
+            return horner(self.coeffs, mpmath.mpc(z))
 
     # -- calculus / transforms ------------------------------------------
 
@@ -277,6 +264,19 @@ class IntPolynomial:
         return " ".join(parts)
 
 
+def horner(coeffs, z):
+    """Value at z of the polynomial with low-to-high coefficients `coeffs`.
+
+    Arithmetic is that of z's type: exact for int and Fraction points, and
+    at the current mpmath precision for mpc points.  The zero polynomial
+    evaluates to a zero of that type.
+    """
+    acc = 0 * z
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def _coerce(value) -> "IntPolynomial":
     if isinstance(value, IntPolynomial):
         return value
@@ -296,7 +296,6 @@ def _working_precision(p: IntPolynomial, precision: int | None) -> int:
 # Handy generators for formula code.
 X = IntPolynomial.x()
 ONE = IntPolynomial.one()
-ZERO = IntPolynomial.zero()
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:

@@ -20,6 +20,7 @@ from .polynomials import (
     MIN_PRECISION,
     IntPolynomial,
     exact_div,
+    horner,
     poly_gcd,
     pseudo_rem,
 )
@@ -75,33 +76,15 @@ class RootSet:
 
 
 def _div_roots(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact quotient a/b up to a constant: primitive part of the rational
-    quotient.  Content is discarded deliberately; only roots matter here."""
-    q = _rational_exact_div(a, b)
-    _, prim = q.content_and_primitive()
+    """Primitive part of a/b, for b dividing a over Q.  Content is discarded
+    deliberately; only roots matter here.
+
+    The primitive part of b then divides a over Z (Gauss's lemma), so the
+    division is exact in Z[x].
+    """
+    _, b_prim = b.content_and_primitive()
+    _, prim = exact_div(a, b_prim).content_and_primitive()
     return prim
-
-
-def _rational_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    try:
-        return exact_div(a, b)
-    except ValueError:
-        # divisible over Q but not Z: clear the quotient's denominators
-        from math import lcm
-
-        rem = [Fraction(c) for c in a.coeffs]
-        dq = b.degree
-        out = [Fraction(0)] * (a.degree - dq + 1)
-        for k in range(a.degree - dq, -1, -1):
-            coef = rem[dq + k] / b.coeffs[-1]
-            out[k] = coef
-            if coef:
-                for i, cb in enumerate(b.coeffs):
-                    rem[i + k] -= coef * cb
-        if any(rem):
-            raise ValueError("not divisible") from None
-        denom = lcm(*(c.denominator for c in out)) if out else 1
-        return IntPolynomial(int(c * denom) for c in out)
 
 
 def square_free_part(p: IntPolynomial) -> IntPolynomial:
@@ -432,8 +415,8 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float,
             max_step = mpmath.mpf(0)
             for j in range(d):
                 z = roots[j]
-                pz = _horner(coeffs, z)
-                dpz = _horner(dcoeffs, z)
+                pz = horner(coeffs, z)
+                dpz = horner(dcoeffs, z)
                 if dpz == 0:
                     roots[j] = z + stop
                     max_step = max(max_step, abs(stop))
@@ -456,14 +439,14 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float,
         # Newton polish at full precision
         for j in range(d):
             for _ in range(4):
-                pz = _horner(coeffs, roots[j])
-                dpz = _horner(dcoeffs, roots[j])
+                pz = horner(coeffs, roots[j])
+                dpz = horner(dcoeffs, roots[j])
                 if dpz == 0:
                     break
                 roots[j] = roots[j] - pz / dpz
         norm = max(abs(c) for c in coeffs)
         residuals = [
-            float(abs(_horner(coeffs, z)) / (norm * max(1.0, abs(z)) ** d))
+            float(abs(horner(coeffs, z)) / (norm * max(1.0, abs(z)) ** d))
             for z in roots
         ]
         if max(residuals) > tol:
@@ -473,10 +456,3 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float,
                 f"> tol {tol:.3e})",
                 best=list(zip(roots, residuals)))
         return [mpmath.mpc(z) for z in roots]
-
-
-def _horner(coeffs, z):
-    acc = mpmath.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc

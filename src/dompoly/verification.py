@@ -220,10 +220,6 @@ def _root_spray(n: int) -> tuple[list[complex], list[float]]:
     return _spray_cache[n]
 
 
-def _root_curve_distances(n: int) -> list[float]:
-    return _root_spray(n)[1]
-
-
 def check_limit_curve_max_distance() -> CheckResult:
     """The farthest root approaches the closed hyperbola on the sphere.
 
@@ -266,8 +262,8 @@ def check_limit_curve_tracer() -> CheckResult:
     claim = ("typical roots approach the hyperbola (median distance falls); "
              "the tracer recovers the curve to 1e-6 and the isolated point 0")
     problems = []
-    med10 = median(_root_curve_distances(10))
-    med30 = median(_root_curve_distances(30))
+    med10 = median(_root_spray(10)[1])
+    med30 = median(_root_spray(30)[1])
     if not (med30 < med10):
         problems.append(f"median distance not improving: {med10} vs {med30}")
 
@@ -288,11 +284,6 @@ def check_limit_curve_tracer() -> CheckResult:
     return _result("limit-curve-tracer", claim, not problems, detail, started)
 
 
-def _certified_real_roots(poly: IntPolynomial) -> tuple[list[int], int]:
-    """(exact integer roots, number of distinct real roots)."""
-    return integer_roots(poly), len(real_roots_exact(poly))
-
-
 def check_corona_real_roots() -> CheckResult:
     started = time.time()
     claim = ("corona chains: book-over-friendship has real roots exactly "
@@ -302,20 +293,20 @@ def check_corona_real_roots() -> CheckResult:
         # book:n corona friendship:n, orders 2n+2 and 2n+1
         poly = corona_poly(family_poly(FamilySpec("friendship", n)),
                            2 * n + 1, 2 * n + 2)
-        ints, real_count = _certified_real_roots(poly)
+        ints, real_count = integer_roots(poly), len(real_roots_exact(poly))
         if ints != [-2, 0] or real_count != 2:
             problems.append(
                 f"book:{n} over friendship:{n}: ints {ints}, reals {real_count}")
     for base_order, m, depth in ((1, 1, 1), (2, 1, 2), (1, 2, 2), (3, 2, 1)):
         poly = corona_family_poly("complete", base_order, 2 * m, depth)
-        ints, real_count = _certified_real_roots(poly)
+        ints, real_count = integer_roots(poly), len(real_roots_exact(poly))
         if ints != [0] or real_count != 1:
             problems.append(
                 f"even clique 2m={2*m} base={base_order} depth={depth}: "
                 f"ints {ints}, reals {real_count}")
     for base_order, m, depth in ((1, 0, 1), (1, 1, 1), (2, 1, 2), (1, 2, 2)):
         poly = corona_family_poly("complete", base_order, 2 * m + 1, depth)
-        ints, real_count = _certified_real_roots(poly)
+        ints, real_count = integer_roots(poly), len(real_roots_exact(poly))
         if not set(ints) <= {-2, 0} or real_count != len(ints):
             problems.append(
                 f"odd clique {2*m+1} base={base_order} depth={depth}: "

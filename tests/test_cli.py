@@ -4,13 +4,18 @@ import csv
 import io
 import json
 
+import pytest
+
 from dompoly.cli import (
     EXIT_BUDGET,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
+    _poly_methods,
     export_limits_csv,
     main,
 )
+from dompoly.graphs import FamilySpec
 
 
 def run(capsys, *argv):
@@ -271,3 +276,43 @@ def test_poly_method_all_requires_enumeration_budget(capsys):
                        "--method", "all")
     assert code == EXIT_BUDGET
     assert "closed" in err
+
+
+def test_poly_methods_agree():
+    spec = FamilySpec("friendship", 2)
+    out = _poly_methods(str(spec), spec, None, "all")
+    assert set(out) == {"closed", "brute", "recurrence-vertex", "recurrence-odot"}
+    assert len(set(out.values())) == 1
+
+
+def test_roots_convergence_failure_exit(capsys):
+    code, out, err = run(capsys, "roots", "--family", "friendship:3",
+                         "--tol", "1e-300")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("error: Aberth iteration") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["roots", "limits"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    family = "friendship:3" if command == "roots" else "friendship"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", family, "--tol", tol])
+    assert exc.value.code == EXIT_PARSE
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_roots_constant_polynomial(capsys):
+    # K0, the graph with no vertices, has D = 1: no roots at all
+    code, out, _ = run(capsys, "roots", "--graph6", "?")
+    assert code == EXIT_OK
+    assert "polynomial: 1\n" in out
+    assert "integer roots: (none)" in out
+    assert "zero multiplicity: 0" in out
+    assert out.endswith("complex roots (re, im, residual, multiplicity):\n")
+    code, out, _ = run(capsys, "roots", "--graph6", "?", "--format", "json")
+    assert code == EXIT_OK
+    entry = json.loads(out)[0]
+    assert entry["zero_multiplicity"] == 0
+    assert entry["complex_roots"] == [] and entry["real_roots"] == []

@@ -13,7 +13,6 @@ from dompoly.limits import (
     ExponentialFamily,
     GridRegion,
     LimitCurve,
-    TwoTermFamily,
     bkw_limit_points,
     book_family,
     book_limit_curve,
@@ -24,7 +23,6 @@ from dompoly.limits import (
     friendship_limit_curve,
     hyperbola_residual,
     modulus_balance_residual,
-    shift_poly,
 )
 from dompoly.polynomials import ONE, X, IntPolynomial
 
@@ -43,7 +41,7 @@ def test_friendship_family_x_members():
 def test_friendship_family_y_members_are_shifted():
     fam = friendship_family("y")
     for n in range(1, 7):
-        expect = shift_poly(family_poly(FamilySpec("friendship", n)), -1)
+        expect = family_poly(FamilySpec("friendship", n)).shift(-1)
         assert family_member(fam, n) == expect
 
 
@@ -52,7 +50,7 @@ def test_shifted_member_frozen_expansion():
     y2m1 = P([-1, 0, 1])
     expect = y2m1 ** 2 + P([-1, 1]) * X ** 4
     assert family_member(friendship_family("y"), 2) == expect
-    assert shift_poly(family_poly(FamilySpec("friendship", 2)), -1) == expect
+    assert family_poly(FamilySpec("friendship", 2)).shift(-1) == expect
 
 
 def test_book_family_members():
@@ -63,19 +61,13 @@ def test_book_family_members():
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        TwoTermFamily(P(), X, ONE, X)
+        ExponentialFamily((P(), X), (ONE, X))
     with pytest.raises(ValueError):
         ExponentialFamily((ONE,), (X,))
     with pytest.raises(ValueError):
         ExponentialFamily((ONE, ONE), (X,))
     with pytest.raises(ValueError):
         family_member(friendship_family(), 0)
-
-
-def test_shift_poly():
-    assert shift_poly(X ** 2, 1) == P([1, 2, 1])
-    p = P([3, -1, 4])
-    assert shift_poly(shift_poly(p, 1), -1) == p
 
 
 # -- analytic curves --------------------------------------------------------------
@@ -149,7 +141,7 @@ def test_modulus_balance_real_axis():
 
 
 def test_tracer_symmetric_family_vertical_line():
-    fam = TwoTermFamily(ONE, X, ONE, X + 2 * ONE)
+    fam = ExponentialFamily((ONE, ONE), (X, X + 2 * ONE))
     curve = bkw_limit_points(fam, GridRegion(-3, 1, -2, 2, 60, 60))
     pts = [z for piece in curve.pieces for z in piece.points]
     assert pts
@@ -159,7 +151,7 @@ def test_tracer_symmetric_family_vertical_line():
 
 def test_tracer_rejects_degenerate_family():
     with pytest.raises(ValueError):
-        bkw_limit_points(TwoTermFamily(ONE, X, ONE, -1 * X))
+        bkw_limit_points(ExponentialFamily((ONE, ONE), (X, -1 * X)))
 
 
 def test_tracer_friendship_recovers_hyperbola():

@@ -88,6 +88,7 @@ def test_derivative():
 
 def test_shift():
     assert (X ** 2).shift(1) == P([1, 2, 1])
+    assert P([3, -1, 4]).shift(1).shift(-1) == P([3, -1, 4])
     rng = random.Random(10)
     for _ in range(50):
         p = rand_poly(rng)
