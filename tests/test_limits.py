@@ -53,6 +53,13 @@ def test_shifted_member_frozen_expansion():
     assert family_poly(FamilySpec("friendship", 2)).shift(-1) == expect
 
 
+def test_shift_poly():
+    # the y = x + 1 substitution that the y-variable families are built on
+    assert (X ** 2).shift(1) == P([1, 2, 1])
+    p = P([3, -1, 4])
+    assert p.shift(1).shift(-1) == p
+
+
 def test_book_family_members():
     fam = book_family()
     for n in range(1, 6):
