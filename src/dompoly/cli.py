@@ -89,8 +89,22 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _nstr(x, digits: int = 20) -> str:
-    return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=True)
+def _int_at_least(minimum: int):
+    """argparse type for an integer flag that must be >= minimum, so a bad
+    value exits 2 before any work starts."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {text!r}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _nstr(x: mpmath.mpf, digits: int = 20) -> str:
+    """x to `digits` significant digits, rounded from all of its bits."""
+    return mpmath.nstr(x, digits, strip_zeros=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output here instead of stdout")
 
     def add_numeric(sp):
-        sp.add_argument("--precision", type=int, default=None,
+        sp.add_argument("--precision", type=_int_at_least(MIN_PRECISION),
+                        default=None,
                         help=f"working precision in bits (>= {MIN_PRECISION}; "
                              f"default ${PRECISION_ENV} or {DEFAULT_PRECISION})")
         sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
@@ -142,16 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("limits", help="limit curves and root scatters")
     sp.add_argument("--family", choices=("friendship", "book"), required=True)
-    sp.add_argument("--n-max", type=int, default=30,
+    sp.add_argument("--n-max", type=_int_at_least(1), default=30,
                     help="compute roots of members 1..n-max (default 30)")
-    sp.add_argument("--samples", type=int, default=513,
+    sp.add_argument("--samples", type=_int_at_least(2), default=513,
                     help="curve samples per piece")
     sp.add_argument("--method", choices=("analytic", "trace"),
                     default="analytic",
                     help="closed-form curve or generic equimodular tracer")
     sp.add_argument("--grid", metavar="REMIN:REMAX:IMMIN:IMMAX",
                     default="-4:2:-3:3", help="tracer region")
-    sp.add_argument("--resolution", type=int, default=120,
+    sp.add_argument("--resolution", type=_int_at_least(2), default=120,
                     help="tracer grid cells per axis")
     sp.add_argument("--export", choices=("csv", "json"),
                     help="write scatter + curve data files")

@@ -10,7 +10,9 @@ normalized residual bound instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -50,6 +52,23 @@ class ComplexRoot:
 
 
 @dataclass(frozen=True)
+class SolveDiagnostics:
+    """What the complex solver did for one square-free factor.
+
+    float_sweeps counts the double-precision Aberth sweeps whose iterates
+    seeded the multiprecision phase (0 when that phase was skipped);
+    mp_sweeps counts the sweeps at `precision` bits.  converged says every
+    root passed the backward-error test before the Newton polish.
+    """
+
+    degree: int
+    float_sweeps: int
+    mp_sweeps: int
+    converged: bool
+    precision: int
+
+
+@dataclass(frozen=True)
 class RootSet:
     """All roots of an integer polynomial.
 
@@ -57,7 +76,9 @@ class RootSet:
     bounds and exact multiplicities).  real_intervals isolates the distinct
     nonzero real roots in disjoint rational intervals, collapsed to
     lo == hi for roots found exactly.  integer_roots is exact and includes
-    0 whenever zero_multiplicity >= 1.
+    0 whenever zero_multiplicity >= 1.  diagnostics holds one
+    SolveDiagnostics per square-free factor the complex solver ran on; it
+    takes no part in equality and is never printed.
     """
 
     degree: int
@@ -65,6 +86,7 @@ class RootSet:
     complex_roots: tuple[ComplexRoot, ...]
     real_intervals: tuple[tuple[Fraction, Fraction], ...]
     integer_roots: tuple[int, ...]
+    diagnostics: tuple[SolveDiagnostics, ...] = field(default=(), compare=False)
 
     @property
     def nonzero_root_count(self) -> int:
@@ -352,9 +374,11 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
     simultaneous iteration on each square-free factor, Newton-polished, with
     certified real data alongside.
 
-    Residuals are |p(z)| / (max|coeff| * max(1,|z|)^deg).  Initialization is
-    deterministic (fixed spiral of angles on a circle scaled by a power-of-two
-    root bound), so repeated runs give identical output.
+    Residuals are |p(z)| / (max|coeff| * max(1,|z|)^deg).  The iteration
+    starts from Newton-polygon points computed from the integer
+    coefficients, runs in double precision first and finishes at the
+    working precision, all deterministically, so repeated runs give
+    identical output.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
@@ -363,9 +387,12 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
     k0 = p.valuation
     cofactor = IntPolynomial(p.coeffs[k0:])
     complex_roots: list[ComplexRoot] = []
+    diagnostics: list[SolveDiagnostics] = []
     if cofactor.degree >= 1:
         for factor, mult in square_free_decomposition(cofactor):
-            for z in _aberth_roots(factor, precision, tol):
+            roots, diag = _aberth_roots(factor, precision, tol)
+            diagnostics.append(diag)
+            for z in roots:
                 complex_roots.append(ComplexRoot(
                     value=z,
                     residual=_residual(p, z, precision),
@@ -380,6 +407,7 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
         complex_roots=tuple(complex_roots),
         real_intervals=intervals,
         integer_roots=tuple(integer_roots(p)),
+        diagnostics=tuple(diagnostics),
     )
 
 
@@ -391,9 +419,100 @@ def _residual(p: IntPolynomial, z: mpmath.mpc, precision: int) -> float:
         return float(value / scale)
 
 
+def _newton_polygon_starts(coeffs, exp, rect) -> list:
+    """Bini's starting points for the roots of sum(c_i x^i), c_0 != 0.
+
+    Each edge (k0, k1) of the upper convex hull of the points (i, log|c_i|)
+    contributes m = k1 - k0 points on the circle of radius
+    (|c_k0|/|c_k1|)^(1/m), the typical modulus of m of the roots.  Angles
+    are offset per edge so that the circles' points do not line up and no
+    start is real.  `exp` and `rect` (math/cmath or mpmath) fix the scalar
+    type.
+    """
+    d = len(coeffs) - 1
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        point = (i, math.log(abs(c)))
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], point) >= 0:
+            hull.pop()
+        hull.append(point)
+    starts = []
+    for (k0, log0), (k1, log1) in zip(hull, hull[1:]):
+        m = k1 - k0
+        radius = exp((log0 - log1) / m)
+        offset = 2 * math.pi * k0 / d + 0.7
+        starts += [rect(radius, 2 * math.pi * j / m + offset) for j in range(m)]
+    return starts
+
+
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _aberth_sweeps(coeffs, roots: list, eps, max_iter: int) -> tuple[int, bool]:
+    """Aberth-Ehrlich sweeps over `roots`, updated in place.
+
+    Generic over the scalar type, like `horner`: Python floats and complex
+    with eps = 2^-53, or mpmath at the working precision with eps = 2^-prec.
+    A root is frozen once it passes Bini's backward-error test
+    |p(z)| <= 4*d*eps*sum|c_i||z|^i, i.e. once it is an exact root of a
+    polynomial within rounding of p; the others keep moving, repelled by
+    all.  Returns the sweeps run and whether every root was frozen.
+    """
+    d = len(coeffs) - 1
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    moduli = [abs(c) for c in coeffs]
+    bound = 4 * d * eps
+    frozen = [False] * d
+    for sweep in range(1, max_iter + 1):
+        for j in range(d):
+            if frozen[j]:
+                continue
+            z = roots[j]
+            pz = horner(coeffs, z)
+            if abs(pz) <= bound * horner(moduli, abs(z)):
+                frozen[j] = True
+                continue
+            try:
+                repulsion = 0
+                for i in range(d):
+                    if i != j:
+                        repulsion += 1 / (z - roots[i])
+                roots[j] = z - pz / (horner(dcoeffs, z) - pz * repulsion)
+            except ZeroDivisionError:
+                # coincident iterates or a zero Aberth denominator
+                roots[j] = z + bound * (1 + abs(z))
+        if all(frozen):
+            return sweep, True
+    return max_iter, False
+
+
+def _float_phase(coeffs: tuple[int, ...], max_iter: int) -> tuple[int, list | None]:
+    """Double-precision Aberth iterates from the Newton-polygon starts, and
+    the sweeps they took; None when a coefficient or an iterate is not a
+    finite float."""
+    try:
+        fcoeffs = [float(c) for c in coeffs]
+        roots = _newton_polygon_starts(coeffs, math.exp, cmath.rect)
+        sweeps, _ = _aberth_sweeps(fcoeffs, roots, 2.0 ** -53, max_iter)
+    except OverflowError:
+        return 0, None
+    if not all(cmath.isfinite(z) for z in roots):
+        return 0, None
+    return sweeps, roots
+
+
 def _aberth_roots(f: IntPolynomial, precision: int, tol: float,
-                  max_iter: int = 400) -> list[mpmath.mpc]:
-    """Roots of a square-free integer polynomial, all simple."""
+                  max_iter: int = 400) -> tuple[list[mpmath.mpc], SolveDiagnostics]:
+    """Roots of a square-free integer polynomial, all simple, and what the
+    solver did to find them.
+
+    Cheap double-precision sweeps bring the roots close (MPSolve's
+    strategy); sweeps at the working precision, started from those
+    iterates, then need only a few more.
+    """
     d = f.degree
     width = max(abs(c).bit_length() for c in f.coeffs)
     prec = max(precision, width + 32)
@@ -401,41 +520,14 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float,
         coeffs = [mpmath.mpf(c) for c in f.coeffs]
         dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
         if d == 1:
-            return [mpmath.mpc(-mpmath.mpf(f.coeffs[0]) / f.coeffs[1])]
-        radius = mpmath.mpf(root_bound_pow2(f)) / 2
-        roots = [
-            radius * (1 + mpmath.mpf(3 * j) / (7 * d))
-            * mpmath.expjpi(mpmath.mpf(2 * j) / d + mpmath.mpf("0.125"))
-            for j in range(d)
-        ]
-        stop = mpmath.mpf(2) ** (-(prec * 3 // 5))
-        tiny = mpmath.mpf(2) ** (-prec * 4)
-        converged = False
-        for _ in range(max_iter):
-            max_step = mpmath.mpf(0)
-            for j in range(d):
-                z = roots[j]
-                pz = horner(coeffs, z)
-                dpz = horner(dcoeffs, z)
-                if dpz == 0:
-                    roots[j] = z + stop
-                    max_step = max(max_step, abs(stop))
-                    continue
-                newton = pz / dpz
-                repulsion = mpmath.mpc(0)
-                for i in range(d):
-                    if i != j:
-                        delta = z - roots[i]
-                        if abs(delta) < tiny:
-                            delta += tiny
-                        repulsion += 1 / delta
-                denom = 1 - newton * repulsion
-                step = newton if denom == 0 else newton / denom
-                roots[j] = z - step
-                max_step = max(max_step, abs(step) / max(1, abs(roots[j])))
-            if max_step < stop:
-                converged = True
-                break
+            return ([mpmath.mpc(-mpmath.mpf(f.coeffs[0]) / f.coeffs[1])],
+                    SolveDiagnostics(d, 0, 0, True, prec))
+        float_sweeps, starts = _float_phase(f.coeffs, max_iter)
+        if starts is None:
+            starts = _newton_polygon_starts(f.coeffs, mpmath.exp, mpmath.rect)
+        roots = [mpmath.mpc(z) for z in starts]
+        mp_sweeps, converged = _aberth_sweeps(
+            coeffs, roots, mpmath.mpf(2) ** -prec, max_iter)
         # Newton polish at full precision
         for j in range(d):
             for _ in range(4):
@@ -455,4 +547,5 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float,
                 f"Aberth iteration {state} (max residual {max(residuals):.3e} "
                 f"> tol {tol:.3e})",
                 best=list(zip(roots, residuals)))
-        return [mpmath.mpc(z) for z in roots]
+        diagnostics = SolveDiagnostics(d, float_sweeps, mp_sweeps, converged, prec)
+        return [mpmath.mpc(z) for z in roots], diagnostics

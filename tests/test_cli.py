@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import mpmath
 import pytest
 
 from dompoly.cli import (
@@ -15,6 +16,7 @@ from dompoly.cli import (
     export_limits_csv,
     main,
 )
+from dompoly.domination import family_poly
 from dompoly.graphs import FamilySpec
 
 
@@ -103,6 +105,22 @@ def test_roots_full_text(capsys):
     assert "zero multiplicity: 1" in out
     assert "integer roots: 0" in out
     assert "complex roots" in out
+
+
+def test_roots_digits_match_reference(capsys):
+    # all 20 printed digits must be right, not the digits of a 53-bit float
+    code, out, _ = run(capsys, "roots", "--family", "friendship:3",
+                       "--format", "json")
+    assert code == EXIT_OK
+    printed = [(r["re"], r["im"]) for r in json.loads(out)[0]["complex_roots"]]
+    coeffs = family_poly(FamilySpec("friendship", 3)).coeffs
+    with mpmath.workprec(256):
+        reference = mpmath.polyroots(coeffs[:0:-1], maxsteps=200, extraprec=256)
+        expect = [(mpmath.nstr(z.real, 20, strip_zeros=True),
+                   mpmath.nstr(z.imag, 20, strip_zeros=True))
+                  for z in reference if z != 0]
+    assert ("-1.6935798112028607301", "-0.19689858294116647779") in printed
+    assert sorted(printed) == sorted(expect)
 
 
 def test_roots_json(capsys):
@@ -301,6 +319,26 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
         main([command, "--family", family, "--tol", tol])
     assert exc.value.code == EXIT_PARSE
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, command", [
+    ("--precision 10", "roots --family friendship:3 --real-only"),
+    ("--precision 52", "roots --family friendship:3"),
+    ("--precision 10", "limits --family friendship"),
+    ("--samples 1", "limits --family friendship"),
+    ("--n-max 0", "limits --family friendship"),
+    ("--n-max two", "limits --family friendship"),
+    ("--resolution 1", "limits --family friendship"),
+])
+def test_numeric_flags_rejected_at_parse_time(capsys, monkeypatch, flag, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr("dompoly.cli.family_poly", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + flag.split())
+    assert exc.value.code == EXIT_PARSE
+    assert f"argument {flag.split()[0]}" in capsys.readouterr().err
 
 
 def test_roots_constant_polynomial(capsys):

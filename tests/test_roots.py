@@ -1,6 +1,9 @@
 """Root extraction: certified real isolation, exact integer roots, and the
 multiprecision complex solver, cross-validated against each other."""
 
+import cmath
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +14,7 @@ from dompoly.domination import corona_poly, family_poly
 from dompoly.graphs import FamilySpec
 from dompoly.polynomials import ONE, X, IntPolynomial
 from dompoly.roots import (
+    _newton_polygon_starts,
     all_roots,
     count_real_roots_in,
     integer_roots,
@@ -260,6 +264,55 @@ def test_all_roots_deterministic():
     b = all_roots(p)
     assert [mpmath.nstr(r.value, 30) for r in a.complex_roots] == \
         [mpmath.nstr(r.value, 30) for r in b.complex_roots]
+
+
+def test_all_roots_diagnostics():
+    rs = all_roots(friendship(30))
+    (diag,) = rs.diagnostics
+    assert (diag.degree, diag.precision) == (60, 256)
+    assert diag.converged and diag.float_sweeps > 0
+    # Near x = -1.7 doubles cannot evaluate D(F_30, x): their rounding error
+    # there exceeds the spacing of the roots, so about half the
+    # double-precision iterates are not yet near a root and need the sweeps
+    # at 256 bits (27 on CPython 3.11, x86-64), still far below max_iter
+    assert diag.mp_sweeps <= 40
+    # members whose roots doubles can resolve need only a few
+    assert all(d.converged and d.mp_sweeps <= 10
+               for d in all_roots(friendship(9)).diagnostics)
+    # diagnostics take no part in equality
+    assert dataclasses.replace(rs, diagnostics=()) == rs
+
+
+def test_all_roots_wilkinson():
+    p = ONE
+    for k in range(1, 21):
+        p = p * (X - k * ONE)
+    rs = all_roots(p)
+    got = sorted(rs.complex_roots, key=lambda r: float(r.value.real))
+    assert len(got) == 20
+    for k, r in zip(range(1, 21), got):
+        assert abs(r.value - k) < 1e-30
+
+
+def test_all_roots_without_float_phase():
+    # 2^1100 is no finite double, so the solver starts at 256+ bits from the
+    # Newton-polygon points
+    rs = all_roots(X ** 2 - (2 ** 1100) * ONE)
+    (diag,) = rs.diagnostics
+    assert diag.float_sweeps == 0 and diag.converged
+    assert diag.precision >= 1100
+    with mpmath.workprec(diag.precision):
+        values = sorted(rs.complex_roots, key=lambda r: float(r.value.real))
+        for r, expect in zip(values, (-mpmath.mpf(2) ** 550, mpmath.mpf(2) ** 550)):
+            assert abs(r.value - expect) < mpmath.mpf(2) ** (550 - 200)
+
+
+def test_newton_polygon_starts_match_root_moduli():
+    p = (X - ONE) * (X - 10 ** 3 * ONE) * (X - 10 ** 6 * ONE)
+    starts = _newton_polygon_starts(p.coeffs, math.exp, cmath.rect)
+    assert len(starts) == 3
+    for root in (1, 10 ** 3, 10 ** 6):
+        assert any(root / 2 <= abs(z) <= 2 * root for z in starts)
 
 
 def test_all_roots_validation():
