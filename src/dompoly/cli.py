@@ -65,6 +65,7 @@ EXIT_DISAGREE = 4
 EXIT_NUMERIC = 5
 
 PRECISION_ENV = "DOMPOLY_PRECISION"
+MAX_RESOLUTION = 2000  # the tracer grid costs O(resolution^2)
 
 
 def _default_precision() -> int:
@@ -89,14 +90,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _int_at_least(minimum: int):
-    """argparse type for an integer flag that must be >= minimum, so a bad
-    value exits 2 before any work starts."""
+def _bounded_int(minimum: int, maximum: float = math.inf):
+    """argparse type for an integer flag that must lie in [minimum, maximum],
+    so a bad value exits 2 before any work starts."""
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {text!r}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {maximum}, got {text!r}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -121,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output here instead of stdout")
 
     def add_numeric(sp):
-        sp.add_argument("--precision", type=_int_at_least(MIN_PRECISION),
+        sp.add_argument("--precision", type=_bounded_int(MIN_PRECISION),
                         default=None,
                         help=f"working precision in bits (>= {MIN_PRECISION}; "
                              f"default ${PRECISION_ENV} or {DEFAULT_PRECISION})")
@@ -157,17 +161,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("limits", help="limit curves and root scatters")
     sp.add_argument("--family", choices=("friendship", "book"), required=True)
-    sp.add_argument("--n-max", type=_int_at_least(1), default=30,
+    sp.add_argument("--n-max", type=_bounded_int(1), default=30,
                     help="compute roots of members 1..n-max (default 30)")
-    sp.add_argument("--samples", type=_int_at_least(2), default=513,
+    sp.add_argument("--samples", type=_bounded_int(2), default=513,
                     help="curve samples per piece")
     sp.add_argument("--method", choices=("analytic", "trace"),
                     default="analytic",
                     help="closed-form curve or generic equimodular tracer")
     sp.add_argument("--grid", metavar="REMIN:REMAX:IMMIN:IMMAX",
                     default="-4:2:-3:3", help="tracer region")
-    sp.add_argument("--resolution", type=_int_at_least(2), default=120,
-                    help="tracer grid cells per axis")
+    sp.add_argument("--resolution", type=_bounded_int(2, MAX_RESOLUTION),
+                    default=120,
+                    help=f"tracer grid cells per axis (2 to {MAX_RESOLUTION})")
     sp.add_argument("--export", choices=("csv", "json"),
                     help="write scatter + curve data files")
     sp.add_argument("--output-dir", default=".",

@@ -190,42 +190,41 @@ def family_poly(spec: FamilySpec) -> IntPolynomial:
     raise AssertionError(kind)
 
 
-def _sweep(in_s: IntPolynomial, dominated: IntPolynomial, needy: IntPolynomial,
-           steps: int) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
-    """Extend a path by `steps` vertices, left to right.  The three
-    polynomials count partial sets by the state of the last vertex: in the
-    set, out but dominated, or out and still needing its right neighbor."""
-    for _ in range(steps):
-        in_s, dominated, needy = (
-            X * (in_s + dominated + needy),
-            in_s,
-            dominated,
-        )
-    return in_s, dominated, needy
-
-
 def _path_poly(n: int) -> IntPolynomial:
-    """Sweep from the first vertex; the last vertex may not stay needy."""
-    in_s, dominated, _ = _sweep(X, IntPolynomial(), ONE, n - 1)
-    return in_s + dominated
+    return _three_term_recurrence(((0, 1), (0, 2, 1), (0, 1, 3, 1)), n)
 
 
 def _cycle_poly(n: int) -> IntPolynomial:
-    """Same sweep as paths, split on the first/last vertices to close the
-    cycle; n >= 3."""
+    """Seeded with C1 = x and C2 = x^2 + 2x, which are seed values only,
+    not simple graphs; n >= 3."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    # first vertex in the set: last vertex may stay needy (the wrap edge
-    # dominates it)
-    a0, a1, a2 = _sweep(X * X, X, IntPolynomial(), n - 2)
-    total = a0 + a1 + a2
-    # first vertex out, second in: first is dominated; last must manage alone
-    b0, b1, b2 = _sweep(X, IntPolynomial(), IntPolynomial(), n - 2)
-    total += b0 + b1
-    # first and second out: last vertex must be in the set to dominate the first
-    c0, c1, c2 = _sweep(IntPolynomial(), IntPolynomial(), ONE, n - 3)
-    total += X * (c0 + c1 + c2)
-    return total
+    return _three_term_recurrence(((0, 1), (0, 2, 1), (0, 3, 3, 1)), n)
+
+
+def _three_term_recurrence(seeds: tuple[tuple[int, ...], ...], n: int) -> IntPolynomial:
+    """D_n from the coefficients of D_1, D_2, D_3 by
+
+        D_k = x·(D_{k-1} + D_{k-2} + D_{k-3}),
+
+    which holds for paths and for cycles (Alikhani & Peng, 2008/2009).
+
+    Runs on packed integers: coefficient i sits in the w-bit slot at bit
+    w·i, with w > n a whole number of bytes, so each step is one sum and
+    one shift.  Slots never carry, because every coefficient of D_k is
+    below 2^k <= 2^n: it counts subsets of k vertices.
+    """
+    if n <= 3:
+        return IntPolynomial(seeds[n - 1])
+    width = n // 8 + 1  # bytes per slot
+    w = 8 * width
+    a, b, c = (sum(coeff << (w * i) for i, coeff in enumerate(seed))
+               for seed in seeds)
+    for _ in range(n - 3):
+        a, b, c = b, c, (a + b + c) << w
+    packed = c.to_bytes((n + 1) * width, "little")
+    return IntPolynomial(int.from_bytes(packed[i:i + width], "little")
+                         for i in range(0, len(packed), width))
 
 
 def corona_family_poly(kind: str, base_order: int, n: int, depth: int) -> IntPolynomial:

@@ -53,7 +53,7 @@ def family_member(fam: ExponentialFamily, n: int) -> IntPolynomial:
     """Exact n-th member alpha1*lambda1^n + ... of a family."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = IntPolynomial.zero()
+    total = IntPolynomial()
     for alpha, lam in zip(fam.alphas, fam.lambdas):
         total = total + alpha * lam ** n
     return total

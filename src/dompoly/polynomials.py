@@ -50,18 +50,6 @@ class IntPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPolynomial":
-        return cls((0, 1))
-
-    @classmethod
     def constant(cls, c: int) -> "IntPolynomial":
         return cls((c,))
 
@@ -171,9 +159,25 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "IntPolynomial":
+        """Binomial expansion for a two-term base, square-and-multiply
+        otherwise.
+
+        (a·x^s + b·x^t)^n has the terms C(n,k)·a^(n-k)·b^k·x^(s(n-k)+tk);
+        each is the previous one times (n-k+1)·b / (k·a), an exact integer
+        division, so the whole power costs O(n) big-integer operations.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = IntPolynomial.one()
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        if len(terms) == 2:
+            (s, a), (t, b) = terms
+            out = [0] * (t * exponent + 1)
+            term = out[s * exponent] = a ** exponent
+            for k in range(1, exponent + 1):
+                term = term * (exponent - k + 1) * b // (k * a)
+                out[s * (exponent - k) + t * k] = term
+            return IntPolynomial(out)
+        result = ONE
         base = self
         e = exponent
         while e:
@@ -294,8 +298,8 @@ def _working_precision(p: IntPolynomial, precision: int | None) -> int:
 
 
 # Handy generators for formula code.
-X = IntPolynomial.x()
-ONE = IntPolynomial.one()
+X = IntPolynomial((0, 1))
+ONE = IntPolynomial((1,))
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:

@@ -20,6 +20,7 @@ import mpmath
 from .polynomials import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
+    ONE,
     IntPolynomial,
     exact_div,
     horner,
@@ -114,7 +115,7 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
-        return IntPolynomial.one()
+        return ONE
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
         _, prim = p.content_and_primitive()

@@ -329,6 +329,7 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     ("--n-max 0", "limits --family friendship"),
     ("--n-max two", "limits --family friendship"),
     ("--resolution 1", "limits --family friendship"),
+    ("--resolution 2001", "limits --family friendship"),
 ])
 def test_numeric_flags_rejected_at_parse_time(capsys, monkeypatch, flag, command):
     def no_work(*args, **kwargs):

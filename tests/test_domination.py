@@ -9,6 +9,7 @@ import pytest
 
 from dompoly.domination import (
     EnumerationBudgetError,
+    _cycle_poly,
     brute_force_poly,
     corona_family_poly,
     corona_poly,
@@ -266,12 +267,70 @@ def test_family_poly_paths_and_cycles():
     assert family_poly(FamilySpec("path", 1)) == X
     assert family_poly(FamilySpec("path", 2)) == P([0, 2, 1])
     assert family_poly(FamilySpec("path", 3)) == P([0, 1, 3, 1])
-    for n in range(1, 11):
+    for n in range(1, 21):
         assert family_poly(FamilySpec("path", n)) == \
             brute_force_poly(fam("path", n)), f"path {n}"
-    for n in range(3, 11):
+    for n in range(3, 21):
         assert family_poly(FamilySpec("cycle", n)) == \
             brute_force_poly(fam("cycle", n)), f"cycle {n}"
+    with pytest.raises(ValueError, match="cycle needs n >= 3"):
+        _cycle_poly(2)
+
+
+def powers_by_products(base, n_max):
+    """[base^0, ..., base^n_max], each one plain multiplication after the
+    last: the ring-operation route the closed forms are checked against."""
+    powers = [ONE]
+    for _ in range(n_max):
+        powers.append(powers[-1] * base)
+    return powers
+
+
+def test_family_poly_matches_ring_operations():
+    n_max = 200
+    two_x_x2 = powers_by_products(P([0, 2, 1]), n_max)
+    one_x = powers_by_products(ONE + X, 2 * n_max)
+    x = powers_by_products(X, n_max)
+    for n in range(1, n_max + 1):
+        friendship = two_x_x2[n] + X * one_x[2 * n]
+        expected = {
+            "friendship": friendship,
+            "book": (two_x_x2[n] * P([1, 2]) + x[2] * one_x[2 * n]
+                     - 2 * x[n]),
+            # join of K1 with the corona K_n ∘ K1, as the closed form builds it
+            "book_contracted": X * (one_x[2 * n] - ONE) + X + two_x_x2[n],
+            "complete": one_x[n] - ONE,
+            "empty": x[n],
+            "star": X * (one_x[n] - ONE) + X + x[n],
+        }
+        assert expected["book_contracted"] == friendship
+        for kind, poly in expected.items():
+            assert family_poly(FamilySpec(kind, n)) == poly, f"{kind}:{n}"
+
+
+def old_sweep(in_s, dominated, needy):
+    """The three-state path sweep the path and cycle closed forms used
+    before the three-term recurrence, on IntPolynomials: yields the states
+    after 0, 1, 2, ... steps (last vertex in the set, out but dominated,
+    out and needing its right neighbour)."""
+    while True:
+        yield in_s, dominated, needy
+        in_s, dominated, needy = X * (in_s + dominated + needy), in_s, dominated
+
+
+def test_paths_and_cycles_match_old_sweep():
+    zero = P()
+    path = list(itertools.islice(old_sweep(X, zero, ONE), 200))
+    first_in = list(itertools.islice(old_sweep(X * X, X, zero), 199))
+    second_in = list(itertools.islice(old_sweep(X, zero, zero), 199))
+    both_out = list(itertools.islice(old_sweep(zero, zero, ONE), 198))
+    for n in range(1, 201):
+        in_s, dominated, _ = path[n - 1]
+        assert family_poly(FamilySpec("path", n)) == in_s + dominated, n
+    for n in range(3, 201):
+        cycle = (sum(first_in[n - 2], zero) + sum(second_in[n - 2][:2], zero)
+                 + X * sum(both_out[n - 3], zero))
+        assert family_poly(FamilySpec("cycle", n)) == cycle, n
 
 
 def test_family_poly_far_beyond_budget():

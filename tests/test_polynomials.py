@@ -43,6 +43,40 @@ def test_power_identity():
     assert X ** 0 == ONE
 
 
+def repeated_product(base, n):
+    """base ** n by n plain multiplications, the reference for pow."""
+    result = ONE
+    for _ in range(n):
+        result = result * base
+    return result
+
+
+@pytest.mark.parametrize("base", [
+    P([-3, 0, 0, 5]),                   # negative coefficient
+    P([0, 0, 7, -2]),                   # nonzero low exponent s
+    P([0, -(2 ** 70) - 1, 0, 3 ** 40]),  # large coefficients
+    P([0, 0, 0, -1, 0, -1]),
+])
+def test_two_term_power_matches_repeated_products(base):
+    for n in range(41):
+        assert base ** n == repeated_product(base, n), n
+
+
+def test_power_of_monomial_and_zero():
+    for base in (P([0, 0, -3]), P([5]), X):
+        for n in range(41):
+            assert base ** n == repeated_product(base, n)
+    assert P() ** 0 == ONE
+    assert (P() ** 1).is_zero and (P() ** 7).is_zero
+
+
+def test_power_rejects_bad_exponents():
+    for base in (P([1, 2]), P([1, 2, 3]), X, P()):
+        for bad in (-1, 2.0, Fraction(1)):
+            with pytest.raises(ValueError):
+                base ** bad
+
+
 def test_friendship2_expansion():
     # (2x+x^2)^2 + x(1+x)^4, expanded by hand:
     # (4x^2+4x^3+x^4) + (x+4x^2+6x^3+4x^4+x^5)

@@ -102,3 +102,15 @@ def test_horner_matches_power_sum_and_sign(p, r):
 def test_sturm_count_equals_isolating_intervals(p):
     bound = root_bound_pow2(p)
     assert count_real_roots_in(p, -bound, bound) == len(real_roots_exact(p))
+
+
+@deterministic
+@given(st.integers(0, 5), st.integers(1, 5),
+       st.integers(-2 ** 80, 2 ** 80).filter(bool),
+       st.integers(-2 ** 80, 2 ** 80).filter(bool), st.integers(0, 40))
+def test_two_term_power_equals_repeated_products(s, gap, a, b, n):
+    base = P([0] * s + [a] + [0] * (gap - 1) + [b])
+    product = P([1])
+    for _ in range(n):
+        product = product * base
+    assert base ** n == product
