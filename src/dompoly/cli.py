@@ -27,8 +27,10 @@ import mpmath
 from .domination import (
     BRUTE_FORCE_BUDGET_BITS,
     EnumerationBudgetError,
+    book_family,
     brute_force_poly,
     family_poly,
+    friendship_family,
     recurrence_poly_odot,
     recurrence_poly_vertex,
 )
@@ -42,9 +44,7 @@ from .graphs import (
 from .limits import (
     GridRegion,
     bkw_limit_points,
-    book_family,
     book_limit_curve,
-    friendship_family,
     friendship_limit_curve,
 )
 from .polynomials import DEFAULT_PRECISION, MIN_PRECISION, IntPolynomial
@@ -420,7 +420,7 @@ def _limit_curve(family: str, method: str, samples: int, grid: GridRegion):
         if family == "friendship":
             return friendship_limit_curve(samples=samples)
         return book_limit_curve(samples=samples)
-    fam = friendship_family("x") if family == "friendship" else book_family()
+    fam = friendship_family() if family == "friendship" else book_family()
     return bkw_limit_points(fam, grid)
 
 

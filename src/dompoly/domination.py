@@ -9,6 +9,8 @@ graph of n isolated vertices has polynomial x^n.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .graphs import (
@@ -156,6 +158,51 @@ def recurrence_poly_odot(g: Graph, u: int,
 
 # -- closed forms ---------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ExponentialFamily:
+    """f_n = sum_i alphas[i] * lambdas[i]^n over k >= 2 terms; k = 2 covers
+    the friendship polynomials and k = 3 the book polynomials."""
+
+    alphas: tuple[IntPolynomial, ...]
+    lambdas: tuple[IntPolynomial, ...]
+
+    def __post_init__(self):
+        if len(self.alphas) != len(self.lambdas):
+            raise ValueError("alphas and lambdas must pair up")
+        if len(self.alphas) < 2:
+            raise ValueError("need at least two terms")
+        for p in (*self.alphas, *self.lambdas):
+            if p.is_zero:
+                raise ValueError("family terms must be nonzero")
+
+
+def family_member(fam: ExponentialFamily, n: int) -> IntPolynomial:
+    """Exact n-th member alpha1*lambda1^n + ... of a family."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    total = IntPolynomial()
+    for alpha, lam in zip(fam.alphas, fam.lambdas):
+        total = total + alpha * lam ** n
+    return total
+
+
+def friendship_family() -> ExponentialFamily:
+    """D(friendship:n, x) = 1*(x^2+2x)^n + x*((1+x)^2)^n."""
+    return ExponentialFamily(
+        alphas=(ONE, X),
+        lambdas=(IntPolynomial((0, 2, 1)), IntPolynomial((1, 2, 1))),
+    )
+
+
+def book_family() -> ExponentialFamily:
+    """D(book:n, x) = (2x+1)*(x^2+2x)^n + x^2*((1+x)^2)^n - 2*x^n: the
+    friendship lambdas plus x."""
+    return ExponentialFamily(
+        alphas=(IntPolynomial((1, 2)), X * X, IntPolynomial((-2,))),
+        lambdas=(*friendship_family().lambdas, X),
+    )
+
+
 def family_poly(spec: FamilySpec) -> IntPolynomial:
     """Exact domination polynomial of a family member, without building the
     graph; usable far beyond the enumeration budget.
@@ -167,13 +214,10 @@ def family_poly(spec: FamilySpec) -> IntPolynomial:
     """
     n = spec.n
     kind = spec.kind
-    two_x_x2 = IntPolynomial((0, 2, 1))
     if kind == "friendship":
-        return two_x_x2 ** n + X * (ONE + X) ** (2 * n)
+        return family_member(friendship_family(), n)
     if kind == "book":
-        return (two_x_x2 ** n * IntPolynomial((1, 2))
-                + X ** 2 * (ONE + X) ** (2 * n)
-                - 2 * X ** n)
+        return family_member(book_family(), n)
     if kind == "book_contracted":
         pendant_clique = corona_poly(X, 1, n)  # clique of n, one pendant each
         return join_poly(X, 1, pendant_clique, 2 * n)

@@ -425,13 +425,3 @@ def write_graph6(g: Graph) -> str:
         out.append((acc << (6 - filled)) + 63)
     return "".join(chr(b) for b in out)
 
-
-def read_graph6_file(path, cap: int = DEFAULT_CAP) -> list[Graph]:
-    """Read a newline-delimited graph6 catalog file."""
-    graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                graphs.append(parse_graph6(line, cap=cap))
-    return graphs

@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from .domination import ExponentialFamily, family_poly
 from .graphs import FamilySpec
-from .polynomials import ONE, X, IntPolynomial, horner
+from .polynomials import IntPolynomial, horner
 from .roots import all_roots
 
 BOOK_JUNCTION_RE = -1.5 - math.sqrt(2) / 2  # where the book arcs meet
@@ -29,61 +30,6 @@ BOOK_JUNCTION_RE = -1.5 - math.sqrt(2) / 2  # where the book arcs meet
 _DEGENERACY_SAMPLES = 17
 _DOMINANCE_SLACK = 1e-9
 _CHORDAL_SAMPLES = 513  # odd: the real-axis vertices are among the samples
-
-
-@dataclass(frozen=True)
-class ExponentialFamily:
-    """f_n = sum_i alphas[i] * lambdas[i]^n over k >= 2 terms; k = 2 covers
-    the friendship polynomials and k = 3 the book polynomials."""
-
-    alphas: tuple[IntPolynomial, ...]
-    lambdas: tuple[IntPolynomial, ...]
-
-    def __post_init__(self):
-        if len(self.alphas) != len(self.lambdas):
-            raise ValueError("alphas and lambdas must pair up")
-        if len(self.alphas) < 2:
-            raise ValueError("need at least two terms")
-        for p in (*self.alphas, *self.lambdas):
-            if p.is_zero:
-                raise ValueError("family terms must be nonzero")
-
-
-def family_member(fam: ExponentialFamily, n: int) -> IntPolynomial:
-    """Exact n-th member alpha1*lambda1^n + ... of a family."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = IntPolynomial()
-    for alpha, lam in zip(fam.alphas, fam.lambdas):
-        total = total + alpha * lam ** n
-    return total
-
-
-def friendship_family(variable: str = "x") -> ExponentialFamily:
-    """The friendship-graph family as a two-term exponential family.
-
-    In x: 1*(x^2+2x)^n + x*((1+x)^2)^n, which is D(friendship:n, x) exactly.
-    In y = 1+x: 1*(y^2-1)^n + (y-1)*(y^2)^n, the shifted presentation.
-    """
-    if variable == "x":
-        return ExponentialFamily(
-            alphas=(ONE, X),
-            lambdas=(IntPolynomial((0, 2, 1)), IntPolynomial((1, 2, 1))),
-        )
-    if variable == "y":
-        return ExponentialFamily(
-            alphas=(ONE, IntPolynomial((-1, 1))),
-            lambdas=(IntPolynomial((-1, 0, 1)), IntPolynomial((0, 0, 1))),
-        )
-    raise ValueError("variable must be 'x' or 'y'")
-
-
-def book_family() -> ExponentialFamily:
-    """The book-graph family: (x^2+2x)^n (2x+1) + (x+1)^(2n) x^2 - 2 x^n."""
-    return ExponentialFamily(
-        alphas=(IntPolynomial((1, 2)), X * X, IntPolynomial((-2,))),
-        lambdas=(IntPolynomial((0, 2, 1)), IntPolynomial((1, 2, 1)), X),
-    )
 
 
 # -- curve containers -----------------------------------------------------------
@@ -132,8 +78,8 @@ def friendship_limit_curve(samples: int = 513, im_max: float = 3.0) -> LimitCurv
     if samples % 2 == 0:
         samples += 1  # keep the b = 0 crossing in the sample set
     bs = [_lerp(-im_max, im_max, t / (samples - 1)) for t in range(samples)]
-    right = tuple(complex(-1 + math.sqrt(0.5 + b * b), b) for b in bs)
-    left = tuple(complex(-1 - math.sqrt(0.5 + b * b), b) for b in bs)
+    right = tuple(_hyperbola_point(b, 1.0) for b in bs)
+    left = tuple(_hyperbola_point(b, -1.0) for b in bs)
     return LimitCurve(
         pieces=(
             CurvePiece("hyperbola", right, residual=hyperbola_residual),
@@ -165,23 +111,14 @@ def book_limit_curve(samples: int = 513) -> LimitCurve:
 
     im_max = 3.0
     bs = [_lerp(-im_max, im_max, t / (samples - 1)) for t in range(samples)]
-    hyper_pts = tuple(complex(-1 + math.sqrt(0.5 + b * b), b) for b in bs)
+    hyper_pts = tuple(_hyperbola_point(b, 1.0) for b in bs)
 
-    # |x+1|^2 = |x| arc: for real part a, the modulus s = |x| solves
-    # s^2 - s + 2a + 1 = 0, so s = (1 + sqrt(-8a-3))/2 and Im = sqrt(s^2-a^2)
     a_min = (-3 - math.sqrt(5)) / 2  # where the arc closes on the real axis
     half = max(2, samples // 2)
-    balance_pts = []
-    for t in range(half):
-        a = _lerp(j_re, a_min, t / (half - 1))
-        s = (1 + math.sqrt(max(0.0, -8 * a - 3))) / 2
-        b = math.sqrt(max(0.0, s * s - a * a))
-        balance_pts.append(complex(a, b))
-    for t in range(half):
-        a = _lerp(a_min, j_re, t / (half - 1))
-        s = (1 + math.sqrt(max(0.0, -8 * a - 3))) / 2
-        b = math.sqrt(max(0.0, s * s - a * a))
-        balance_pts.append(complex(a, -b))
+    upper = [_lerp(j_re, a_min, t / (half - 1)) for t in range(half)]
+    lower = [_lerp(a_min, j_re, t / (half - 1)) for t in range(half)]
+    balance_pts = ([_modulus_balance_point(a, 1.0) for a in upper]
+                   + [_modulus_balance_point(a, -1.0) for a in lower])
 
     return LimitCurve(
         pieces=(
@@ -195,6 +132,20 @@ def book_limit_curve(samples: int = 513) -> LimitCurve:
         ),
         isolated_points=(0j, complex(-0.5, 0.0)),
     )
+
+
+def _hyperbola_point(b: float, sign: float) -> complex:
+    """The point with imaginary part b on the right (sign 1) or left
+    (sign -1) branch of (Re x + 1)^2 - (Im x)^2 = 1/2."""
+    return complex(-1 + sign * math.sqrt(0.5 + b * b), b)
+
+
+def _modulus_balance_point(a: float, sign: float) -> complex:
+    """The point with real part a on the upper (sign 1) or lower (sign -1)
+    half of |x+1|^2 = |x|: the modulus s = |x| solves s^2 - s + 2a + 1 = 0,
+    so s = (1 + sqrt(-8a-3))/2 and |Im x| = sqrt(s^2 - a^2)."""
+    s = (1 + math.sqrt(max(0.0, -8 * a - 3))) / 2
+    return complex(a, sign * math.sqrt(max(0.0, s * s - a * a)))
 
 
 def _lerp(a: float, b: float, t: float) -> float:
@@ -214,6 +165,9 @@ class GridRegion:
     im_cells: int = 120
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(math.isfinite(v) for v in bounds):
+            raise ValueError("grid bounds must be finite")
         if self.re_min >= self.re_max or self.im_min >= self.im_max:
             raise ValueError("empty grid region")
         if self.re_cells < 2 or self.im_cells < 2:
@@ -425,7 +379,7 @@ def chordal_distance_to_hyperbola(z: complex, im_max: float = 3.0) -> float:
             # maps onto the tails, with |u| -> 2 at infinity
             b = im_max * u if abs(u) <= 1.0 else math.copysign(
                 im_max / (2.0 - abs(u)), u)
-            w = complex(-1 + sign * math.sqrt(0.5 + b * b), b)
+            w = _hyperbola_point(b, sign)
             return 2 * abs(z - w) / (z_scale * math.sqrt(1 + abs(w) ** 2))
 
         values = [chi(u) for u in us]
@@ -466,8 +420,6 @@ def friendship_root_spray(n: int, precision: int = 256,
     The root 0 itself is exact in every member and the points approaching the
     isolated limit 0 are not near the curve, hence the exclusion disk.
     """
-    from .domination import family_poly
-
     root_set = all_roots(family_poly(FamilySpec("friendship", n)),
                          precision=precision)
     pts = [complex(r.value) for r in root_set.complex_roots

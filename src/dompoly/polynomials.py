@@ -159,34 +159,35 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "IntPolynomial":
-        """Binomial expansion for a two-term base, square-and-multiply
-        otherwise.
+        """J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, §4.7).
 
-        (a·x^s + b·x^t)^n has the terms C(n,k)·a^(n-k)·b^k·x^(s(n-k)+tk);
-        each is the previous one times (n-k+1)·b / (k·a), an exact integer
-        division, so the whole power costs O(n) big-integer operations.
+        With the base written as x^s·(p_0 + p_1·x + ... + p_d·x^d), p_0 ≠ 0,
+        the power is x^(sn)·(q_0 + ... + q_(nd)·x^(nd)) where q_0 = p_0^n and
+
+            k·p_0·q_k = Σ_{i=1..min(d,k)} ((n+1)·i - k)·p_i·q_(k-i),
+
+        an exact integer division.  Only the nonzero p_i enter the sum, so
+        the power costs O(n·d·t) big-integer operations for t terms; a
+        two-term base reduces to the binomial update.
         """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        if len(terms) == 2:
-            (s, a), (t, b) = terms
-            out = [0] * (t * exponent + 1)
-            term = out[s * exponent] = a ** exponent
-            for k in range(1, exponent + 1):
-                term = term * (exponent - k + 1) * b // (k * a)
-                out[s * (exponent - k) + t * k] = term
-            return IntPolynomial(out)
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if self.is_zero:
+            return IntPolynomial() if exponent else ONE
+        s = self.valuation
+        p = self.coeffs[s:]
+        p0 = p[0]
+        terms = [(i, c, (exponent + 1) * i) for i, c in enumerate(p) if i and c]
+        q = [0] * (exponent * (len(p) - 1) + 1)
+        q[0] = p0 ** exponent
+        for k in range(1, len(q)):
+            acc = 0
+            for i, c, weight in terms:
+                if i > k:
+                    break
+                acc += (weight - k) * c * q[k - i]
+            q[k] = acc // (k * p0)
+        return IntPolynomial([0] * (s * exponent) + q)
 
     # -- evaluation ----------------------------------------------------
 

@@ -22,6 +22,7 @@ from .polynomials import (
     MIN_PRECISION,
     ONE,
     IntPolynomial,
+    _working_precision,
     exact_div,
     horner,
     poly_gcd,
@@ -515,8 +516,7 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float,
     iterates, then need only a few more.
     """
     d = f.degree
-    width = max(abs(c).bit_length() for c in f.coeffs)
-    prec = max(precision, width + 32)
+    prec = _working_precision(f, precision)
     with mpmath.workprec(prec):
         coeffs = [mpmath.mpf(c) for c in f.coeffs]
         dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]

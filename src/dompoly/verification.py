@@ -21,6 +21,7 @@ from .domination import (
     corona_family_poly,
     corona_poly,
     family_poly,
+    friendship_family,
     recurrence_poly_odot,
     recurrence_poly_vertex,
 )
@@ -30,7 +31,6 @@ from .limits import (
     GridRegion,
     bkw_limit_points,
     chordal_distance_to_hyperbola,
-    friendship_family,
     friendship_root_spray,
     hyperbola_residual,
 )
@@ -267,7 +267,7 @@ def check_limit_curve_tracer() -> CheckResult:
     if not (med30 < med10):
         problems.append(f"median distance not improving: {med10} vs {med30}")
 
-    traced = bkw_limit_points(friendship_family("x"),
+    traced = bkw_limit_points(friendship_family(),
                               GridRegion(-4.0, 2.0, -3.0, 3.0, 140, 140))
     pts = [z for piece in traced.pieces for z in piece.points]
     if not pts:

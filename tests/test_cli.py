@@ -265,10 +265,15 @@ def test_equiv_missing_file(capsys):
     assert code == EXIT_PARSE
 
 
-def test_malformed_grid(capsys):
+@pytest.mark.parametrize("grid", ["bogus", "nan:2:-3:3", "-inf:2:-3:3",
+                                  "-4:2:-3:inf"])
+def test_malformed_grid(capsys, tmp_path, grid):
     code, _, err = run(capsys, "limits", "--family", "friendship",
-                       "--n-max", "1", "--method", "trace", "--grid", "bogus")
+                       "--n-max", "1", "--method", "trace", f"--grid={grid}",
+                       "--export", "csv", "--output-dir", str(tmp_path))
     assert code == EXIT_PARSE
+    assert err.count("error:") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_empty_graph6_file(tmp_path, capsys):

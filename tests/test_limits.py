@@ -5,21 +5,23 @@ import math
 
 import pytest
 
-from dompoly.domination import family_poly
+from dompoly.domination import (
+    ExponentialFamily,
+    book_family,
+    family_member,
+    family_poly,
+    friendship_family,
+)
 from dompoly.graphs import FamilySpec
 from dompoly.limits import (
     BOOK_JUNCTION_RE,
     CurvePiece,
-    ExponentialFamily,
     GridRegion,
     LimitCurve,
     bkw_limit_points,
-    book_family,
     book_limit_curve,
     chordal_distance_to_hyperbola,
     distance_to_curve,
-    family_member,
-    friendship_family,
     friendship_limit_curve,
     hyperbola_residual,
     modulus_balance_residual,
@@ -28,28 +30,25 @@ from dompoly.polynomials import ONE, X, IntPolynomial
 
 P = IntPolynomial
 
+# the friendship family in y = 1 + x: 1*(y^2-1)^n + (y-1)*(y^2)^n
+SHIFTED_FRIENDSHIP = ExponentialFamily((ONE, P([-1, 1])),
+                                       (P([-1, 0, 1]), P([0, 0, 1])))
+
 
 # -- families and members -----------------------------------------------------
 
 
-def test_friendship_family_x_members():
-    fam = friendship_family("x")
-    for n in range(1, 7):
-        assert family_member(fam, n) == family_poly(FamilySpec("friendship", n))
-
-
 def test_friendship_family_y_members_are_shifted():
-    fam = friendship_family("y")
     for n in range(1, 7):
         expect = family_poly(FamilySpec("friendship", n)).shift(-1)
-        assert family_member(fam, n) == expect
+        assert family_member(SHIFTED_FRIENDSHIP, n) == expect
 
 
 def test_shifted_member_frozen_expansion():
     # (y^2-1)^2 + (y-1) y^4, expanded exactly
     y2m1 = P([-1, 0, 1])
     expect = y2m1 ** 2 + P([-1, 1]) * X ** 4
-    assert family_member(friendship_family("y"), 2) == expect
+    assert family_member(SHIFTED_FRIENDSHIP, 2) == expect
     assert family_poly(FamilySpec("friendship", 2)).shift(-1) == expect
 
 
@@ -58,12 +57,6 @@ def test_shift_poly():
     assert (X ** 2).shift(1) == P([1, 2, 1])
     p = P([3, -1, 4])
     assert p.shift(1).shift(-1) == p
-
-
-def test_book_family_members():
-    fam = book_family()
-    for n in range(1, 6):
-        assert family_member(fam, n) == family_poly(FamilySpec("book", n))
 
 
 def test_family_validation():
@@ -162,7 +155,7 @@ def test_tracer_rejects_degenerate_family():
 
 
 def test_tracer_friendship_recovers_hyperbola():
-    curve = bkw_limit_points(friendship_family("x"),
+    curve = bkw_limit_points(friendship_family(),
                              GridRegion(-4, 2, -3, 3, 100, 100))
     pts = [z for piece in curve.pieces for z in piece.points]
     assert len(pts) > 100
@@ -175,7 +168,7 @@ def test_tracer_friendship_recovers_hyperbola():
 
 def test_tracer_friendship_y_variable():
     # in the shifted variable the locus satisfies |y^2 - 1| = |y^2|
-    curve = bkw_limit_points(friendship_family("y"),
+    curve = bkw_limit_points(SHIFTED_FRIENDSHIP,
                              GridRegion(-3, 3, -3, 3, 80, 80))
     for piece in curve.pieces:
         for y in piece.points:
@@ -209,6 +202,9 @@ def test_grid_region_validation():
         GridRegion(1, -1, 0, 1, 10, 10)
     with pytest.raises(ValueError):
         GridRegion(-1, 1, 0, 1, 1, 10)
+    for bounds in ((math.nan, 2, -3, 3), (-math.inf, 2, -3, 3), (-4, 2, -3, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            GridRegion(*bounds, 10, 10)
 
 
 # -- distances ----------------------------------------------------------------------

@@ -62,6 +62,16 @@ def test_two_term_power_matches_repeated_products(base):
         assert base ** n == repeated_product(base, n), n
 
 
+@pytest.mark.parametrize("base", [
+    P([1, 2, 1]),                          # (1+x)^2, the friendship lambda
+    P([0, 0, -7, 3, 0, -2, 11]),           # dense, valuation 2, negative p_0
+    X * P([1, 3, 3, 1]) + P([0, 3, 3, 1]),  # x(1+x)^3 + D(friendship:1)
+])
+def test_power_matches_repeated_products(base):
+    for n in range(41):
+        assert base ** n == repeated_product(base, n), n
+
+
 def test_power_of_monomial_and_zero():
     for base in (P([0, 0, -3]), P([5]), X):
         for n in range(41):
