@@ -18,7 +18,6 @@ from .graphs import (
     Graph,
     bitset_members,
     contract,
-    corona,
     delete_closed_neighborhood,
     delete_vertex,
     odot,
@@ -282,12 +281,7 @@ def corona_family_poly(kind: str, base_order: int, n: int, depth: int) -> IntPol
     if depth < 1:
         raise ValueError("depth must be >= 1")
     h_spec = FamilySpec(kind, n)
-    h_poly = family_poly(h_spec)
     m = h_spec.order
-    order = base_order
-    poly = h_poly
-    for _ in range(depth):
-        poly = corona_poly(h_poly, m, order)
-        order *= 1 + m
-    return poly
+    # each application multiplies the order by 1 + m; only the last counts
+    return corona_poly(family_poly(h_spec), m, base_order * (1 + m) ** (depth - 1))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import mpmath
 
@@ -304,11 +304,8 @@ ONE = IntPolynomial((1,))
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Exact gcd in Z[x] via the primitive polynomial remainder sequence.
-
-    Normalized to a positive leading coefficient so Sturm sequences built
-    on top are canonical.  gcd(0, 0) = 0.
-    """
+    """Exact gcd in Z[x] via the primitive polynomial remainder sequence,
+    normalized to a positive leading coefficient.  gcd(0, 0) = 0."""
     if p.is_zero:
         return _positive_lead(q)
     if q.is_zero:
@@ -316,11 +313,21 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     cont = math.gcd(p.content(), q.content())
     _, a = p.content_and_primitive()
     _, b = q.content_and_primitive()
+    for g in _signed_prs(a, b):
+        pass
+    return cont * _positive_lead(g)
+
+
+def _signed_prs(a: IntPolynomial, b: IntPolynomial) -> Iterator[IntPolynomial]:
+    """Yield a, b, r_2, ..., r_k for primitive nonzero a and b, with r_i =
+    -prim(pseudo_rem(r_(i-2), r_(i-1))) and r_k a primitive gcd of a and b.
+    Only positive factors scale the members, so their signs are those of
+    the signed remainder sequence over Q that Sturm's theorem uses."""
+    yield a
     while not b.is_zero:
-        r = pseudo_rem(a, b)
-        _, r = r.content_and_primitive()
-        a, b = b, r
-    return cont * _positive_lead(a)
+        yield b
+        _, r = pseudo_rem(a, b).content_and_primitive()
+        a, b = b, -r
 
 
 def pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -357,26 +364,23 @@ def exact_div(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
         return IntPolynomial()
-    rem = [Fraction(c) for c in p.coeffs]
-    qc = q.coeffs
     dq = q.degree
     if p.degree < dq:
         raise ValueError("not exactly divisible")
-    out = [Fraction(0)] * (p.degree - dq + 1)
+    rem = list(p.coeffs)
+    qc = q.coeffs
+    out = [0] * (p.degree - dq + 1)
     for k in range(p.degree - dq, -1, -1):
-        coef = rem[dq + k] / qc[-1]
+        coef, r = divmod(rem[dq + k], qc[-1])
+        if r:
+            raise ValueError("quotient is not integral")
         out[k] = coef
         if coef:
             for i, cb in enumerate(qc):
                 rem[i + k] -= coef * cb
     if any(rem):
         raise ValueError("not exactly divisible")
-    ints = []
-    for c in out:
-        if c.denominator != 1:
-            raise ValueError("quotient is not integral")
-        ints.append(c.numerator)
-    return IntPolynomial(ints)
+    return IntPolynomial(out)
 
 
 def _positive_lead(p: IntPolynomial) -> IntPolynomial:

@@ -22,11 +22,12 @@ from .polynomials import (
     MIN_PRECISION,
     ONE,
     IntPolynomial,
+    _positive_lead,
+    _signed_prs,
     _working_precision,
     exact_div,
     horner,
     poly_gcd,
-    pseudo_rem,
 )
 
 DEFAULT_TOL = 1e-20
@@ -117,11 +118,7 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return ONE
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        _, prim = p.content_and_primitive()
-        return prim
-    return _div_roots(p, g)
+    return _square_free_chain(p)[0]
 
 
 def square_free_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -148,7 +145,8 @@ def square_free_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int
 
 
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
-    """Canonical Sturm sequence of p over Z[x].
+    """Canonical Sturm sequence of p over Z[x]: the signed primitive
+    remainder sequence of p and p'.
 
     Remainders are scaled by positive constants only (content-stripped
     positively-scaled pseudo-remainders), which preserves every sign
@@ -157,18 +155,27 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     if p.is_zero:
         raise ValueError("zero polynomial")
     _, first = p.content_and_primitive()
-    chain = [first]
-    d = first.derivative()
+    _, d = first.derivative().content_and_primitive()
     if d.is_zero:
+        return [first]
+    return list(_signed_prs(first, d))
+
+
+def _square_free_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """Sturm sequence of the square-free part of p, for degree(p) >= 1.
+
+    The Sturm chain of p ends in g = gcd(p, p'); dividing every member by g
+    gives a Sturm sequence of p/g (Basu, Pollack & Roy, Algorithms in Real
+    Algebraic Geometry, 2006, §2.2), so one remainder sequence serves both.
+    The division is exact over Z because g is primitive (Gauss's lemma),
+    and g is taken with a positive leading coefficient so the head keeps
+    the sign of p's.
+    """
+    chain = sturm_chain(p)
+    g = _positive_lead(chain[-1])
+    if g.degree < 1:
         return chain
-    _, d = d.content_and_primitive()
-    chain.append(d)
-    while True:
-        r = pseudo_rem(chain[-2], chain[-1])
-        if r.is_zero:
-            return chain
-        _, r = r.content_and_primitive()
-        chain.append(-r)
+    return [exact_div(q, g) for q in chain]
 
 
 def _sign_at(p: IntPolynomial, point: Fraction) -> int:
@@ -185,38 +192,6 @@ def _sign_at(p: IntPolynomial, point: Fraction) -> int:
 def _variations(signs: list[int]) -> int:
     nonzero = [s for s in signs if s]
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
-
-
-class _SturmContext:
-    """Sturm chain of a square-free polynomial plus memoized variation counts."""
-
-    def __init__(self, square_free: IntPolynomial):
-        self.poly = square_free
-        self.chain = sturm_chain(square_free)
-        self._memo: dict[Fraction, int] = {}
-        self._sign_memo: dict[Fraction, int] = {}
-
-    def variations_at(self, point: Fraction) -> int:
-        if point not in self._memo:
-            self._memo[point] = _variations(
-                [_sign_at(q, point) for q in self.chain])
-        return self._memo[point]
-
-    def sign_at(self, point: Fraction) -> int:
-        if point not in self._sign_memo:
-            self._sign_memo[point] = _sign_at(self.poly, point)
-        return self._sign_memo[point]
-
-    def count_half_open(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct real roots in (lo, hi]."""
-        return self.variations_at(lo) - self.variations_at(hi)
-
-    def count_open(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct real roots in the open interval (lo, hi)."""
-        n = self.count_half_open(lo, hi)
-        if self.sign_at(hi) == 0:
-            n -= 1
-        return n
 
 
 def root_bound_pow2(p: IntPolynomial) -> int:
@@ -246,43 +221,56 @@ def real_roots_exact(p: IntPolynomial,
     """Isolate every distinct real root of p in disjoint rational intervals.
 
     Returned sorted ascending; an interval with lo == hi is an exact
-    rational root (rational roots hit by a bisection midpoint collapse).
-    Each open interval (lo, hi) contains exactly one real root, has
-    p(lo) != 0 != p(hi), and width <= `width`.
+    rational root (0 when x divides p, and rational roots hit by a
+    bisection midpoint).  Each open interval (lo, hi) contains exactly one
+    real root, has p(lo) != 0 != p(hi), and width <= `width`.
+
+    The root 0 is split off exactly; the rest are isolated by bisection of
+    [-B, B] with the square-free Sturm chain of p / x^valuation, each stack
+    entry (lo, hi, v_lo, v_hi) carrying the sign variations just right of
+    lo and just left of hi, so v_lo - v_hi roots lie strictly between.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")
-    if p.degree < 1:
-        return []
-    ctx = _SturmContext(square_free_part(p))
-    bound = Fraction(root_bound_pow2(ctx.poly))
-    found: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound, ctx.count_half_open(-bound, bound))]
+    k = p.valuation
+    found = [(Fraction(0), Fraction(0))] if k else []
+    q = IntPolynomial(p.coeffs[k:])
+    if q.degree < 1:
+        return found
+    chain = _square_free_chain(q)
+    bound = Fraction(root_bound_pow2(chain[0]))
+    # endpoints that are roots of p: 0 if x divides p, then exact hits
+    exact = {lo for lo, _ in found}
+    cuts = [-bound, Fraction(0), bound] if k else [-bound, bound]
+    v = [_variations([_sign_at(q, c) for q in chain]) for c in cuts]
+    stack = list(zip(cuts, cuts[1:], v, v[1:]))
     while stack:
-        lo, hi, count = stack.pop()
+        lo, hi, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
         if count == 0:
             continue
-        if count == 1 and ctx.sign_at(lo) != 0 and ctx.sign_at(hi) != 0:
-            found.append(_refine(ctx, lo, hi, width))
+        if count == 1 and lo not in exact and hi not in exact:
+            found.append(_refine(chain[0], lo, hi, width))
             continue
         mid = (lo + hi) / 2
-        if ctx.sign_at(mid) == 0:
+        signs = [_sign_at(q, mid) for q in chain]
+        v_mid = _variations(signs)
+        if signs[0] == 0:
             found.append((mid, mid))
-            left = ctx.count_half_open(lo, mid) - 1
-        else:
-            left = ctx.count_half_open(lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, count - left - (1 if ctx.sign_at(mid) == 0 else 0)))
+            exact.add(mid)
+        # at a simple root the variations drop by one from left to right
+        stack.append((lo, mid, v_lo, v_mid + (signs[0] == 0)))
+        stack.append((mid, hi, v_mid, v_hi))
     found.sort(key=lambda iv: iv[0])
     return found
 
 
-def _refine(ctx: _SturmContext, lo: Fraction, hi: Fraction,
+def _refine(square_free: IntPolynomial, lo: Fraction, hi: Fraction,
             width: Fraction) -> tuple[Fraction, Fraction]:
-    sign_lo = ctx.sign_at(lo)
+    sign_lo = _sign_at(square_free, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        s = ctx.sign_at(mid)
+        s = _sign_at(square_free, mid)
         if s == 0:
             return (mid, mid)
         if s * sign_lo < 0:
@@ -305,10 +293,15 @@ def count_real_roots_in(p: IntPolynomial, a, b) -> int:
         raise ValueError("need a < b")
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if p.degree < 1:
-        return 0
-    ctx = _SturmContext(square_free_part(p))
-    return ctx.count_open(a, b)
+    k = p.valuation
+    count = 1 if k and a < 0 < b else 0
+    q = IntPolynomial(p.coeffs[k:])
+    if q.degree < 1:
+        return count
+    chain = _square_free_chain(q)
+    signs_a, signs_b = ([_sign_at(q, x) for q in chain] for x in (a, b))
+    # Sturm counts the roots in (a, b]; drop b itself if it is one
+    return count + _variations(signs_a) - _variations(signs_b) - (signs_b[0] == 0)
 
 
 # -- integer roots -------------------------------------------------------------
@@ -401,13 +394,11 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
                     multiplicity=mult,
                 ))
     complex_roots.sort(key=lambda r: (float(r.value.real), float(r.value.imag)))
-    intervals = tuple((lo, hi) for lo, hi in real_roots_exact(p)
-                      if not (lo == 0 == hi))
     return RootSet(
         degree=p.degree,
         zero_multiplicity=k0,
         complex_roots=tuple(complex_roots),
-        real_intervals=intervals,
+        real_intervals=tuple(real_roots_exact(cofactor)),
         integer_roots=tuple(integer_roots(p)),
         diagnostics=tuple(diagnostics),
     )

@@ -359,6 +359,13 @@ def test_corona_family_poly():
     twice = corona_poly(family_poly(FamilySpec("complete", 2)), 2, 3 * 3)
     assert corona_family_poly("complete", 3, 2, 2) == twice
     assert corona_family_poly("complete", 3, 2, 1) == once
+    # depth 3 against brute force on the built graph ((K2∘K1)∘K1)∘K1
+    k1 = build_family(FamilySpec("complete", 1))
+    g = build_family(FamilySpec("complete", 2))
+    for _ in range(3):
+        g = corona(g, k1)
+    assert g.n == 16
+    assert corona_family_poly("complete", 2, 1, 3) == brute_force_poly(g)
     with pytest.raises(ValueError):
         corona_family_poly("complete", 0, 2, 1)
     with pytest.raises(ValueError):

@@ -205,6 +205,13 @@ def test_exact_div():
         exact_div(X + ONE, X ** 2)
     with pytest.raises(ValueError):
         exact_div(X ** 2 + ONE, X + ONE)
+    # divisible over Q but not over Z
+    with pytest.raises(ValueError):
+        exact_div(X, 2 * X)
+    # negative leading coefficient in the divisor
+    q = P([3, 0, -2])
+    assert exact_div(P([4, -5]) * q, q) == P([4, -5])
+    assert exact_div(-6 * X ** 3, -2 * X) == 3 * X ** 2
 
 
 def test_serialization_roundtrip():

@@ -1,6 +1,7 @@
 """Property-based checks: the three computation paths, the graph6 codec,
 exact division, square-free decomposition, Horner evaluation and Sturm
-isolation, on inputs drawn by hypothesis.
+isolation (also against constructed real roots), on inputs drawn by
+hypothesis.
 
 Examples are derandomized so every run draws the same inputs."""
 
@@ -102,6 +103,39 @@ def test_horner_matches_power_sum_and_sign(p, r):
 def test_sturm_count_equals_isolating_intervals(p):
     bound = root_bound_pow2(p)
     assert count_real_roots_in(p, -bound, bound) == len(real_roots_exact(p))
+
+
+@st.composite
+def known_real_roots(draw):
+    """c * x^k * prod (q_i*x - p_i)^(m_i) * (x^2 + x + 1) and its distinct real
+    roots: nonzero rationals p_i/q_i, many of them dyadic, with m_i in 1..3
+    so that the square-free chain is often divided by gcd(p, p')."""
+    fractions = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                          st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16]))
+    roots = draw(st.lists(fractions, min_size=1, max_size=4, unique=True))
+    k = draw(st.integers(0, 2))
+    p = P([draw(st.integers(-6, 6).filter(bool))]) * P([0, 1]) ** k * P([1, 1, 1])
+    for r in roots:
+        p = p * P([-r.numerator, r.denominator]) ** draw(st.integers(1, 3))
+    return p, sorted(roots + [Fraction(0)] * (k > 0))
+
+
+@deterministic
+@given(known_real_roots(), st.data())
+def test_isolation_and_count_find_known_roots(case, data):
+    p, roots = case
+    intervals = real_roots_exact(p)
+    assert len(intervals) == len(roots)
+    for (lo, hi), r in zip(intervals, roots):
+        if lo == hi:
+            assert lo == r
+        else:
+            assert lo < r < hi and hi - lo <= Fraction(1, 2 ** 40)
+    ends = st.one_of(st.sampled_from(roots),
+                     st.fractions(-10, 10, max_denominator=16))
+    for _ in range(3):
+        a, b = sorted([data.draw(ends), data.draw(ends)])
+        assert count_real_roots_in(p, a, b) == sum(a < r < b for r in roots)
 
 
 @deterministic

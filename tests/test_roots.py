@@ -10,6 +10,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import dompoly.polynomials
+import dompoly.roots
 from dompoly.domination import corona_poly, family_poly
 from dompoly.graphs import FamilySpec
 from dompoly.polynomials import ONE, X, IntPolynomial
@@ -73,6 +75,32 @@ def test_sturm_chain_counts_k_real_roots():
     chain = sturm_chain(p)
     assert chain[0].degree == 3
     assert count_real_roots_in(p, -100, 100) == 3
+
+
+@pytest.mark.parametrize("kind, n", [("friendship", 20), ("book", 20), ("cycle", 40)])
+def test_one_remainder_sequence_per_query(monkeypatch, kind, n):
+    """Each query runs one remainder sequence, on p / x^valuation: at most
+    one pseudo-remainder per degree of the cofactor."""
+    original = dompoly.polynomials.pseudo_rem
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    for module in (dompoly.polynomials, dompoly.roots):
+        if getattr(module, "pseudo_rem", None) is original:
+            monkeypatch.setattr(module, "pseudo_rem", counting)
+    p = family_poly(FamilySpec(kind, n))
+    cofactor_degree = p.degree - p.valuation
+    real_roots_exact(p)
+    assert 0 < len(calls) <= cofactor_degree
+    calls.clear()
+    count_real_roots_in(p, -2, 0)
+    assert 0 < len(calls) <= cofactor_degree
+    calls.clear()
+    square_free_part(p)  # keeps the factor x, so runs on p itself
+    assert 0 < len(calls) <= p.degree
 
 
 def test_root_bound():
