@@ -47,7 +47,7 @@ from .limits import (
     book_limit_curve,
     friendship_limit_curve,
 )
-from .polynomials import DEFAULT_PRECISION, MIN_PRECISION, IntPolynomial
+from .polynomials import DEFAULT_PRECISION, MIN_PRECISION, IntPolynomial, terms_text
 from .roots import (
     DEFAULT_TOL,
     ConvergenceError,
@@ -197,6 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact coefficients print at any size; the caller's limit comes back
+    saved = (sys.get_int_max_str_digits()
+             if hasattr(sys, "set_int_max_str_digits") else None)
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except EnumerationBudgetError as exc:
@@ -208,6 +213,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def _emit(args, text: str) -> None:
@@ -280,8 +288,7 @@ def cmd_poly(args) -> int:
         payload = [{
             "input": label,
             "polynomials": {
-                name: {"coefficients": p.to_coeff_string(), "text": str(p)}
-                for name, p in polys.items()
+                name: _poly_json(p) for name, p in polys.items()
             },
             "verdict": verdict,
         } for label, polys, verdict in results]
@@ -301,6 +308,11 @@ def cmd_poly(args) -> int:
                 lines.append(f"verdict: {verdict}")
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_DISAGREE if any_disagree else EXIT_OK
+
+
+def _poly_json(p: IntPolynomial) -> dict[str, str]:
+    digits = [str(c) for c in p.coeffs]
+    return {"coefficients": ",".join(digits), "text": terms_text(p.coeffs, digits)}
 
 
 def _csv_buffer(header, rows) -> str:

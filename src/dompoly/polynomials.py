@@ -20,6 +20,7 @@ import mpmath
 
 DEFAULT_PRECISION = 256  # bits
 MIN_PRECISION = 53
+_HEURISTIC_GCD_TRIES = 4
 
 Scalar = Union[int, Fraction]
 
@@ -214,14 +215,7 @@ class IntPolynomial:
         """Exact composition p(x + c)."""
         if not isinstance(c, int) or isinstance(c, bool):
             raise TypeError("shift amount must be an integer")
-        result: list[int] = []
-        for coeff in reversed(self.coeffs):
-            # result <- result*(x+c) + coeff
-            nxt = [coeff] + result
-            for i in range(len(result)):
-                nxt[i] += c * result[i]
-            result = nxt
-        return IntPolynomial(result)
+        return IntPolynomial(taylor_shift(self.coeffs, c))
 
     # -- content / primitive --------------------------------------------
 
@@ -249,24 +243,29 @@ class IntPolynomial:
         return ",".join(str(c) for c in self.coeffs)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif i == 1:
-                body = "x" if mag == 1 else f"{mag}x"
-            else:
-                body = f"x^{i}" if mag == 1 else f"{mag}x^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return terms_text(self.coeffs, [str(c) for c in self.coeffs])
+
+
+def terms_text(coeffs, digits) -> str:
+    """The `str` form of the polynomial with low-to-high `coeffs`, given
+    their decimal strings `digits`, so a caller that also prints the
+    coefficient list converts each coefficient once."""
+    parts: list[str] = []
+    for i, (c, text) in enumerate(zip(coeffs, digits)):
+        if not c:
+            continue
+        mag = text[1:] if c < 0 else text
+        if i == 0:
+            body = mag
+        elif i == 1:
+            body = "x" if mag == "1" else f"{mag}x"
+        else:
+            body = f"x^{i}" if mag == "1" else f"{mag}x^{i}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def horner(coeffs, z):
@@ -304,8 +303,11 @@ ONE = IntPolynomial((1,))
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Exact gcd in Z[x] via the primitive polynomial remainder sequence,
-    normalized to a positive leading coefficient.  gcd(0, 0) = 0."""
+    """Exact gcd in Z[x], normalized to a positive leading coefficient.
+    gcd(0, 0) = 0.
+
+    The heuristic gcd answers almost always; the primitive remainder
+    sequence is the fallback when it gives up."""
     if p.is_zero:
         return _positive_lead(q)
     if q.is_zero:
@@ -313,9 +315,35 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     cont = math.gcd(p.content(), q.content())
     _, a = p.content_and_primitive()
     _, b = q.content_and_primitive()
-    for g in _signed_prs(a, b):
-        pass
+    g = _heuristic_gcd(a, b)
+    if g is None:
+        *_, g = _signed_prs(a, b)
     return cont * _positive_lead(g)
+
+
+def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
+    """GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989) for
+    primitive nonzero a and b: the primitive part of the polynomial whose
+    balanced base-2^k digits are gcd(a(2^k), b(2^k)).
+
+    Once 2^k >= 2*min(|a|, |b|) + 2, a candidate that divides both a and b
+    is their gcd, so each candidate is checked by exact division.  The
+    width starts above twice the widest coefficient and doubles on each
+    failure; None after the last."""
+    height = max(abs(c) for c in a.coeffs + b.coeffs).bit_length()
+    k = _digit_width(2 * height + 1)
+    for _ in range(_HEURISTIC_GCD_TRIES):
+        value = math.gcd(_packed_value(a.coeffs, k), _packed_value(b.coeffs, k))
+        digits = _balanced_digits(value, k, value.bit_length() // k + 2)
+        _, g = IntPolynomial(digits).content_and_primitive()
+        try:
+            exact_div(a, g)
+            exact_div(b, g)
+        except ValueError:
+            k *= 2
+            continue
+        return g
+    return None
 
 
 def _signed_prs(a: IntPolynomial, b: IntPolynomial) -> Iterator[IntPolynomial]:
@@ -385,3 +413,54 @@ def exact_div(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 def _positive_lead(p: IntPolynomial) -> IntPolynomial:
     return -p if p.lead < 0 else p
+
+
+# -- Kronecker substitution ------------------------------------------------------
+
+
+def _digit_width(bits: int) -> int:
+    """The least multiple of 8 that is >= bits, so digits are whole bytes."""
+    return -(-bits // 8) * 8
+
+
+def taylor_shift(coeffs, c: int) -> list[int]:
+    """Low-to-high coefficients of p(x + c), for p with low-to-high `coeffs`,
+    by one packed evaluation.
+
+    Horner's rule at 2^k + c, each step (acc << k) + c*acc + a_i, gives
+    the integer sum_j b_j*2^(kj) for the coefficients b_j of p(x + c).
+    Since sum|b_j| <= sum|a_i|*(1 + |c|)^d < 2^(k-1), the b_j are its
+    balanced base-2^k digits (Kronecker substitution).
+    """
+    if c == 0 or len(coeffs) < 2:
+        return list(coeffs)
+    norm = sum(abs(a) for a in coeffs)
+    growth = (abs(c) + 1) ** (len(coeffs) - 1)
+    k = _digit_width(norm.bit_length() + growth.bit_length() + 1)
+    return _balanced_digits(_packed_value(coeffs, k, c), k, len(coeffs))
+
+
+def _packed_value(coeffs, k: int, c: int = 0) -> int:
+    """Value at 2^k + c of the polynomial with low-to-high `coeffs`."""
+    acc = 0
+    if c == 1:  # the Descartes shift; skipping the product saves a third
+        for a in reversed(coeffs):
+            acc = (acc << k) + acc + a
+    else:
+        for a in reversed(coeffs):
+            acc = (acc << k) + c * acc + a
+    return acc
+
+
+def _balanced_digits(n: int, k: int, count: int) -> list[int]:
+    """The digits b_0..b_(count-1), each in [-2^(k-1), 2^(k-1)), of
+    n = sum_j b_j*2^(kj), for k a multiple of 8.
+
+    Adding 2^(k-1) to every digit makes them the plain base-2^k digits of
+    n + offset, which one byte conversion reads in linear time."""
+    size = k // 8
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    data = (n + offset).to_bytes(size * count, "little")
+    half = 1 << (k - 1)
+    return [int.from_bytes(data[i:i + size], "little") - half
+            for i in range(0, size * count, size)]

@@ -1,6 +1,6 @@
 """Root analysis: multiprecision complex roots with residual bounds, exact
-real-root isolation by Sturm sequences over the rationals, and exact integer
-root detection.
+real-root isolation by Descartes bisection over the rationals, and exact
+integer root detection.
 
 Exactness split: anything feeding a count ("how many real roots", "is -2 a
 root") goes through integer/rational arithmetic and is certified; complex
@@ -22,12 +22,12 @@ from .polynomials import (
     MIN_PRECISION,
     ONE,
     IntPolynomial,
-    _positive_lead,
     _signed_prs,
     _working_precision,
     exact_div,
     horner,
     poly_gcd,
+    taylor_shift,
 )
 
 DEFAULT_TOL = 1e-20
@@ -113,12 +113,15 @@ def _div_roots(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def square_free_part(p: IntPolynomial) -> IntPolynomial:
-    """Primitive polynomial with the same roots as p, all simple."""
+    """Primitive polynomial with the same roots as p, all simple: the
+    primitive part q of p divided by gcd(q, q'), exact over Z by Gauss's
+    lemma.  Its leading coefficient has the sign of p's."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return ONE
-    return _square_free_chain(p)[0]
+    _, q = p.content_and_primitive()
+    return exact_div(q, poly_gcd(q, q.derivative()))
 
 
 def square_free_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -141,7 +144,7 @@ def square_free_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int
     return factors
 
 
-# -- Sturm sequences ----------------------------------------------------------
+# -- real roots -------------------------------------------------------------------
 
 
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
@@ -150,7 +153,9 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
 
     Remainders are scaled by positive constants only (content-stripped
     positively-scaled pseudo-remainders), which preserves every sign
-    evaluation exactly.
+    evaluation exactly.  Nothing in the package calls it: it is the
+    independent count the tests check the Descartes isolation against, and
+    the benchmark's tracer reports its time under this name.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -161,37 +166,27 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return list(_signed_prs(first, d))
 
 
-def _square_free_chain(p: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm sequence of the square-free part of p, for degree(p) >= 1.
-
-    The Sturm chain of p ends in g = gcd(p, p'); dividing every member by g
-    gives a Sturm sequence of p/g (Basu, Pollack & Roy, Algorithms in Real
-    Algebraic Geometry, 2006, §2.2), so one remainder sequence serves both.
-    The division is exact over Z because g is primitive (Gauss's lemma),
-    and g is taken with a positive leading coefficient so the head keeps
-    the sign of p's.
-    """
-    chain = sturm_chain(p)
-    g = _positive_lead(chain[-1])
-    if g.degree < 1:
-        return chain
-    return [exact_div(q, g) for q in chain]
-
-
 def _sign_at(p: IntPolynomial, point: Fraction) -> int:
-    """Exact sign of p(point) via homogeneous integer Horner."""
+    """Exact sign of p(point) via homogeneous integer Horner; the powers of
+    a power-of-two denominator, as at every bisection point, are shifts."""
     num, den = point.numerator, point.denominator
     acc = 0
-    dpow = 1
-    for c in reversed(p.coeffs):
-        acc = acc * num + c * dpow
-        dpow *= den
+    if den & (den - 1) == 0:
+        s = den.bit_length() - 1
+        for j, c in enumerate(reversed(p.coeffs)):
+            acc = acc * num + (c << (s * j))
+    else:
+        dpow = 1
+        for c in reversed(p.coeffs):
+            acc = acc * num + c * dpow
+            dpow *= den
     return (acc > 0) - (acc < 0)
 
 
-def _variations(signs: list[int]) -> int:
-    nonzero = [s for s in signs if s]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
+def _variations(coeffs) -> int:
+    """Sign changes along a coefficient sequence, zeros skipped."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def root_bound_pow2(p: IntPolynomial) -> int:
@@ -225,44 +220,131 @@ def real_roots_exact(p: IntPolynomial,
     bisection midpoint).  Each open interval (lo, hi) contains exactly one
     real root, has p(lo) != 0 != p(hi), and width <= `width`.
 
-    The root 0 is split off exactly; the rest are isolated by bisection of
-    [-B, B] with the square-free Sturm chain of p / x^valuation, each stack
-    entry (lo, hi, v_lo, v_hi) carrying the sign variations just right of
-    lo and just left of hi, so v_lo - v_hi roots lie strictly between.
+    The root 0 is split off exactly; the rest are the roots of the
+    square-free part f of p / x^valuation, isolated by Descartes bisection
+    on the dyadic grid of [-B, B], B = root_bound_pow2(f), split at 0 when
+    x divides p.  An isolating cell is bisected down to `width`.  The
+    intervals are those of exact root counting on that grid: descending
+    towards a root, the first cell of width <= `width` that holds no other
+    root and has no root as an endpoint, or the bisection midpoint that is
+    the root, whichever comes first.
     """
+    f, bound, cells, hits, exact = _isolate(p)
+    # Descartes may need finer cells than exact counting would; below
+    # `width`, report the widest cell that exact counting would have kept
+    limit = min(width, Fraction(bound if 0 in exact else 2 * bound))
+
+    def widest(lo: Fraction, hi: Fraction):
+        best = None
+        while hi - lo <= limit:
+            inside = sum(lo < x < hi for x in exact) + sum(
+                lo <= a and b <= hi for a, b in cells)
+            if inside != 1 or lo in exact or hi in exact:
+                break
+            best = (lo, hi)
+            size = 2 * (hi - lo)
+            lo = (lo + bound) // size * size - bound
+            hi = lo + size
+        return best
+
+    found = [(Fraction(0), Fraction(0))] if 0 in exact else []
+    found += [widest(lo, hi) or _refine(f, lo, hi, width) for lo, hi in cells]
+    found += [widest(lo, hi) or (mid, mid) for mid, lo, hi in hits]
+    found.sort(key=lambda iv: iv[0])
+    return found
+
+
+def _isolate(p: IntPolynomial) -> tuple:
+    """(f, B, cells, hits, exact): the square-free part f of p / x^valuation
+    (ONE if that is constant), its root bound B, and the output of
+    `_descartes_bisection`; `exact` holds the rational roots found, 0 among
+    them when x divides p."""
     if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")
     k = p.valuation
-    found = [(Fraction(0), Fraction(0))] if k else []
+    exact = {Fraction(0)} if k else set()
     q = IntPolynomial(p.coeffs[k:])
     if q.degree < 1:
-        return found
-    chain = _square_free_chain(q)
-    bound = Fraction(root_bound_pow2(chain[0]))
-    # endpoints that are roots of p: 0 if x divides p, then exact hits
-    exact = {lo for lo, _ in found}
-    cuts = [-bound, Fraction(0), bound] if k else [-bound, bound]
-    v = [_variations([_sign_at(q, c) for q in chain]) for c in cuts]
-    stack = list(zip(cuts, cuts[1:], v, v[1:]))
+        return ONE, 1, [], [], exact
+    f = square_free_part(q)
+    bound = root_bound_pow2(f)
+    return (f, bound, *_descartes_bisection(f, exact), exact)
+
+
+def _descartes_bisection(f: IntPolynomial, exact: set) -> tuple[list, list]:
+    """Bisect the dyadic cells [-2^j, 0] and [0, 2^j] until every real root
+    of the square-free f is alone in a cell or a bisection midpoint.
+
+    Each stack entry (lo, hi, g) carries the low-to-high coefficients of
+    g(x) = c*f(lo + (hi - lo)*x) for some c > 0, so f's roots in (lo, hi)
+    are g's in (0, 1).  By Descartes' rule their number is at most, and of
+    the same parity as, the sign variations v of (x + 1)^d*g(1/(x + 1))
+    (Collins & Akritas, 1976): a cell with v = 0 holds no root, one with
+    v = 1 exactly one.  The halves carry 2^d*g(x/2) and its shift by 1.  A
+    cell with an endpoint in `exact` is split again, like a cell with
+    v >= 2.  The bisection starts from the narrowest cells [-2^j, 0] and
+    [0, 2^j] that hold every real root.
+
+    Returns the isolating cells (lo, hi), with f(lo) != 0 != f(hi), and the
+    hits (mid, lo, hi), a root at the midpoint of the bisected (lo, hi);
+    each hit is also added to `exact`.
+    """
+    stack = []
+    for sign in (-1, 1):
+        coeffs = [c * sign ** i for i, c in enumerate(f.coeffs)]  # f(sign*x)
+        j = _real_root_exponent(coeffs)
+        g = [c << (j * i) for i, c in enumerate(f.coeffs)]  # f(2^j*x)
+        if sign < 0:
+            g = taylor_shift(g, -1)  # f(2^j*(x - 1))
+        lo = Fraction(min(0, sign << j))
+        stack.append((lo, lo + (1 << j), g))
+    cells, hits = [], []
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        count = v_lo - v_hi
+        lo, hi, g = stack.pop()
+        count = _descartes_count(g)
         if count == 0:
             continue
         if count == 1 and lo not in exact and hi not in exact:
-            found.append(_refine(chain[0], lo, hi, width))
+            cells.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        signs = [_sign_at(q, mid) for q in chain]
-        v_mid = _variations(signs)
-        if signs[0] == 0:
-            found.append((mid, mid))
+        left = _halve(g)
+        right = taylor_shift(left, 1)
+        if right[0] == 0:  # f(mid) = 0
+            hits.append((mid, lo, hi))
             exact.add(mid)
-        # at a simple root the variations drop by one from left to right
-        stack.append((lo, mid, v_lo, v_mid + (signs[0] == 0)))
-        stack.append((mid, hi, v_mid, v_hi))
-    found.sort(key=lambda iv: iv[0])
-    return found
+        stack += [(lo, mid, left), (mid, hi, right)]
+    return cells, hits
+
+
+def _real_root_exponent(coeffs: list[int]) -> int:
+    """The least j >= 0 such that the polynomial with low-to-high `coeffs`
+    has no real root at or above 2^j: its shift by 2^j has a nonzero
+    constant term and no sign variation.  No larger j than that of
+    `root_bound_pow2` is needed, since every root has real part below it."""
+    j = 0
+    while True:
+        shifted = taylor_shift(coeffs, 1 << j)
+        if shifted[0] and _variations(shifted) == 0:
+            return j
+        j += 1
+
+
+def _descartes_count(g: list[int]) -> int:
+    """Sign variations of (x + 1)^d*g(1/(x + 1)); 0 at once when g itself
+    has none, for then it has no positive root at all."""
+    if _variations(g) == 0:
+        return 0
+    return _variations(taylor_shift(g[::-1], 1))
+
+
+def _halve(g: list[int]) -> list[int]:
+    """2^d*g(x/2), the polynomial of the left half of g's cell, divided by
+    its largest power-of-two content so that coefficients stay short."""
+    d = len(g) - 1
+    coeffs = [c << (d - i) for i, c in enumerate(g)]
+    twos = min((c & -c).bit_length() for c in coeffs if c) - 1
+    return [c >> twos for c in coeffs]
 
 
 def _refine(square_free: IntPolynomial, lo: Fraction, hi: Fraction,
@@ -284,24 +366,22 @@ def count_real_roots_in(p: IntPolynomial, a, b) -> int:
     """Exact number of distinct real roots of p in the open interval (a, b).
 
     Endpoints that happen to be roots are excluded from the count, which
-    resolves the endpoint ambiguity deterministically.
+    resolves the endpoint ambiguity deterministically.  The count comes
+    from the isolating cells; one that contains a or b tells which side its
+    root is on by the sign of the square-free part there.
     """
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         if a == b:
             return 0
         raise ValueError("need a < b")
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    k = p.valuation
-    count = 1 if k and a < 0 < b else 0
-    q = IntPolynomial(p.coeffs[k:])
-    if q.degree < 1:
-        return count
-    chain = _square_free_chain(q)
-    signs_a, signs_b = ([_sign_at(q, x) for q in chain] for x in (a, b))
-    # Sturm counts the roots in (a, b]; drop b itself if it is one
-    return count + _variations(signs_a) - _variations(signs_b) - (signs_b[0] == 0)
+    f, _, cells, _, exact = _isolate(p)
+    count = sum(a < x < b for x in exact)
+    for lo, hi in cells:
+        if a < hi and lo < b:
+            count += ((lo >= a or _sign_at(f, a) == _sign_at(f, lo))
+                      and (hi <= b or _sign_at(f, b) == _sign_at(f, hi)))
+    return count
 
 
 # -- integer roots -------------------------------------------------------------

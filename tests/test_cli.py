@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import mpmath
 import pytest
@@ -58,6 +59,25 @@ def test_poly_json_and_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["input", "method", "degree", "coefficients"]
     assert len(rows) == 5
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer string conversion limit")
+def test_poly_prints_past_the_int_string_limit(capsys):
+    """Coefficients of about 720 digits print under a 640-digit limit,
+    which main() puts back when it returns."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run(capsys, "poly", "--family", "friendship:1200",
+                           "--format", "csv")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    coeffs = out.splitlines()[1].split(",", 3)[3].strip('"').split(",")
+    assert max(len(c) for c in coeffs) > 640
+    assert coeffs == [str(c) for c in family_poly(FamilySpec("friendship", 1200)).coeffs]
 
 
 def test_poly_bad_inputs(capsys):

@@ -6,6 +6,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import dompoly.polynomials
+from dompoly.domination import family_poly
+from dompoly.graphs import FamilySpec
 from dompoly.polynomials import (
     ONE,
     X,
@@ -140,6 +143,11 @@ def test_shift():
         c = rng.randint(-4, 4)
         k = rng.randint(-5, 5)
         assert p.shift(c).eval_int(k) == p.eval_int(k + c)
+    wide = P([3 << 200, -(5 << 230), 0, 7, -(1 << 250) + 1])
+    for c in (-3, -1, 1, 2):
+        assert wide.shift(c).shift(-c) == wide
+        assert wide.shift(c).eval_int(3) == wide.eval_int(3 + c)
+    assert P([9]).shift(4) == P([9]) and P().shift(1) == P()
 
 
 def test_gcd_double_root():
@@ -162,6 +170,29 @@ def test_gcd_recovers_shared_factor():
         # the shared factor divides the gcd
         _, prim = shared.content_and_primitive()
         exact_div(g * prim.lead ** (g.degree + 1), prim)  # no remainder
+
+
+def test_gcd_fallback_gives_the_same_gcd(monkeypatch):
+    """With the heuristic made to give up, the remainder sequence answers,
+    with the same normalized gcd."""
+    rng = random.Random(13)
+    cases = [(p, p.derivative()) for p in (
+        family_poly(FamilySpec("friendship", 8)),
+        family_poly(FamilySpec("book", 6)),
+        X ** 3 * (X + 2 * ONE) ** 2 * (3 * X - ONE))]
+    for _ in range(20):
+        shared = rand_poly(rng, max_deg=3)
+        a, b = rand_poly(rng, max_deg=4), rand_poly(rng, max_deg=4)
+        if not (shared.is_zero or a.is_zero or b.is_zero):
+            cases.append((-7 * shared * a, 21 * shared * b))
+    expected = [poly_gcd(p, q) for p, q in cases]
+    monkeypatch.setattr(dompoly.polynomials, "_heuristic_gcd", lambda a, b: None)
+    calls = []
+    original = dompoly.polynomials.pseudo_rem
+    monkeypatch.setattr(dompoly.polynomials, "pseudo_rem",
+                        lambda a, b: calls.append(1) or original(a, b))
+    assert [poly_gcd(p, q) for p, q in cases] == expected
+    assert calls  # the fallback ran
 
 
 def test_gcd_sign_normalization():

@@ -1,11 +1,12 @@
 """Property-based checks: the three computation paths, the graph6 codec,
-exact division, square-free decomposition, Horner evaluation and Sturm
-isolation (also against constructed real roots), on inputs drawn by
-hypothesis.
+exact division, the heuristic gcd, Taylor shifts, square-free
+decomposition, Horner evaluation and real-root isolation (against a Sturm
+count and against constructed real roots), on inputs drawn by hypothesis.
 
 Examples are derandomized so every run draws the same inputs."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -17,13 +18,21 @@ from dompoly.domination import (
     recurrence_poly_vertex,
 )
 from dompoly.graphs import Graph, parse_graph6, write_graph6
-from dompoly.polynomials import IntPolynomial, exact_div, horner
+from dompoly.polynomials import (
+    IntPolynomial,
+    _signed_prs,
+    exact_div,
+    horner,
+    poly_gcd,
+)
 from dompoly.roots import (
     _sign_at,
     count_real_roots_in,
     real_roots_exact,
     root_bound_pow2,
     square_free_decomposition,
+    square_free_part,
+    sturm_chain,
 )
 
 P = IntPolynomial
@@ -75,6 +84,51 @@ def test_exact_div_undoes_multiplication(p, q):
     assert exact_div(p * q, q) == p
 
 
+def wide_polys(max_degree=4, bits=80):
+    """Polynomials whose coefficients mix zeros, small values and values
+    up to +-2^bits."""
+    coeff = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.integers(-2 ** bits, 2 ** bits))
+    return st.lists(coeff, min_size=1, max_size=max_degree + 1).map(P)
+
+
+def prs_gcd(p, q):
+    """gcd of nonzero p and q from the primitive remainder sequence alone."""
+    cont = math.gcd(p.content(), q.content())
+    _, a = p.content_and_primitive()
+    _, b = q.content_and_primitive()
+    *_, g = _signed_prs(a, b)
+    return cont * (-g if g.lead < 0 else g)
+
+
+@deterministic
+@given(wide_polys().filter(bool), wide_polys().filter(bool),
+       wide_polys(max_degree=3).filter(bool))
+def test_gcd_equals_remainder_sequence_gcd(a, b, shared):
+    p, q = shared * a, shared * b
+    g = poly_gcd(p, q)
+    assert g == prs_gcd(p, q)
+    exact_div(p, g)
+    exact_div(q, g)
+
+
+def naive_shift(p, c):
+    """p(x + c) by Horner's rule over polynomials."""
+    out = P()
+    for coeff in reversed(p.coeffs):
+        out = out * P([c, 1]) + P([coeff])
+    return out
+
+
+@deterministic
+@given(wide_polys(max_degree=8, bits=240), st.sampled_from([-3, -1, 1, 2]))
+def test_shift_round_trip(p, c):
+    shifted = p.shift(c)
+    assert shifted == naive_shift(p, c)
+    assert shifted.shift(-c) == p
+    assert shifted.eval_int(5) == p.eval_int(5 + c)
+
+
 @deterministic
 @given(st.lists(st.tuples(polys(min_degree=1, max_degree=3, span=4),
                           st.integers(1, 3)), min_size=1, max_size=3),
@@ -98,11 +152,21 @@ def test_horner_matches_power_sum_and_sign(p, r):
     assert _sign_at(p, r) == (value > 0) - (value < 0)
 
 
+def sturm_variations(chain, x):
+    """Sign variations of a Sturm chain at x."""
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 @deterministic
 @given(polys(min_degree=1))
 def test_sturm_count_equals_isolating_intervals(p):
-    bound = root_bound_pow2(p)
-    assert count_real_roots_in(p, -bound, bound) == len(real_roots_exact(p))
+    bound = Fraction(root_bound_pow2(p))
+    chain = sturm_chain(p)
+    # Sturm's theorem counts the distinct real roots in (-B, B]
+    expect = sturm_variations(chain, -bound) - sturm_variations(chain, bound)
+    assert len(real_roots_exact(p)) == expect
+    assert count_real_roots_in(p, -bound, bound) == expect
 
 
 @st.composite
@@ -136,6 +200,62 @@ def test_isolation_and_count_find_known_roots(case, data):
     for _ in range(3):
         a, b = sorted([data.draw(ends), data.draw(ends)])
         assert count_real_roots_in(p, a, b) == sum(a < r < b for r in roots)
+
+
+def sturm_isolation(p, width):
+    """Bisection of the dyadic grid of [-B, B] by exact Sturm counts, each
+    cell with one root and no root endpoint halved down to `width`: the
+    intervals real_roots_exact must reproduce."""
+    k = p.valuation
+    found = [(Fraction(0), Fraction(0))] if k else []
+    q = P(p.coeffs[k:])
+    if q.degree < 1:
+        return found
+    f = square_free_part(q)
+    chain = sturm_chain(f)
+    bound = Fraction(root_bound_pow2(f))
+    exact = {lo for lo, _ in found}
+    cuts = [-bound, Fraction(0), bound] if k else [-bound, bound]
+    stack = list(zip(cuts, cuts[1:]))
+    while stack:
+        lo, hi = stack.pop()
+        count = (sturm_variations(chain, lo) - sturm_variations(chain, hi)
+                 - (_sign_at(f, hi) == 0))
+        if count == 1 and lo not in exact and hi not in exact:
+            while hi - lo > width and _sign_at(f, (lo + hi) / 2):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if _sign_at(f, lo) != _sign_at(f, mid) else (mid, hi)
+            found.append((lo, hi) if hi - lo <= width else ((lo + hi) / 2,) * 2)
+        elif count:
+            mid = (lo + hi) / 2
+            if _sign_at(f, mid) == 0:
+                found.append((mid, mid))
+                exact.add(mid)
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(found)
+
+
+@st.composite
+def roots_near_complex_pairs(draw):
+    """x^k times products of (2^s*x - a - t) and (2^s*x - a)^2 + b^2: real
+    roots a few 2^-s from complex pairs (a +- bi)/2^s, so Descartes needs
+    cells finer than exact counting would, below 2^-40 when s > 40."""
+    s = draw(st.integers(20, 48))
+    p = P([draw(st.integers(-5, 5).filter(bool))]) * P([0, 1]) ** draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(-2 ** 8, 2 ** 8))
+        b = draw(st.integers(1, 3))
+        t = draw(st.integers(-4, 4))
+        p = p * P([-(a + t), 1 << s]) ** draw(st.integers(1, 2))
+        p = p * P([a * a + b * b, -a << (s + 1), 1 << (2 * s)])
+    return p
+
+
+@deterministic
+@given(st.one_of(roots_near_complex_pairs(), polys(min_degree=1)),
+       st.sampled_from([Fraction(1, 2 ** 40), Fraction(1, 2 ** 10), Fraction(4)]))
+def test_isolation_equals_sturm_bisection(p, width):
+    assert real_roots_exact(p, width) == sturm_isolation(p, width)
 
 
 @deterministic

@@ -79,8 +79,9 @@ def test_sturm_chain_counts_k_real_roots():
 
 @pytest.mark.parametrize("kind, n", [("friendship", 20), ("book", 20), ("cycle", 40)])
 def test_one_remainder_sequence_per_query(monkeypatch, kind, n):
-    """Each query runs one remainder sequence, on p / x^valuation: at most
-    one pseudo-remainder per degree of the cofactor."""
+    """At most one remainder sequence per query, and in fact none: square-free
+    parts come from the heuristic gcd and real roots from Descartes
+    bisection, so no query runs a pseudo-remainder."""
     original = dompoly.polynomials.pseudo_rem
     calls = []
 
@@ -92,15 +93,11 @@ def test_one_remainder_sequence_per_query(monkeypatch, kind, n):
         if getattr(module, "pseudo_rem", None) is original:
             monkeypatch.setattr(module, "pseudo_rem", counting)
     p = family_poly(FamilySpec(kind, n))
-    cofactor_degree = p.degree - p.valuation
     real_roots_exact(p)
-    assert 0 < len(calls) <= cofactor_degree
-    calls.clear()
     count_real_roots_in(p, -2, 0)
-    assert 0 < len(calls) <= cofactor_degree
-    calls.clear()
-    square_free_part(p)  # keeps the factor x, so runs on p itself
-    assert 0 < len(calls) <= p.degree
+    square_free_part(p)
+    all_roots(p)
+    assert calls == []
 
 
 def test_root_bound():
