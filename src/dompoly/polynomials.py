@@ -328,10 +328,10 @@ def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
 
     Once 2^k >= 2*min(|a|, |b|) + 2, a candidate that divides both a and b
     is their gcd, so each candidate is checked by exact division.  The
-    width starts above twice the widest coefficient and doubles on each
-    failure; None after the last."""
+    width starts at two bits above the widest coefficient, which meets that
+    bound, and doubles on each failure; None after the last."""
     height = max(abs(c) for c in a.coeffs + b.coeffs).bit_length()
-    k = _digit_width(2 * height + 1)
+    k = _digit_width(height + 2)
     for _ in range(_HEURISTIC_GCD_TRIES):
         value = math.gcd(_packed_value(a.coeffs, k), _packed_value(b.coeffs, k))
         digits = _balanced_digits(value, k, value.bit_length() // k + 2)

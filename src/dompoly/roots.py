@@ -5,7 +5,9 @@ integer root detection.
 Exactness split: anything feeding a count ("how many real roots", "is -2 a
 root") goes through integer/rational arithmetic and is certified; complex
 root positions come from a simultaneous-iteration solver and carry a
-normalized residual bound instead.
+normalized residual bound instead.  The solver runs in doubles, then at the
+working precision in fixed point over Python integers; mpmath holds the
+roots it returns and evaluates their residuals.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ class SolveDiagnostics:
 
     float_sweeps counts the double-precision Aberth sweeps whose iterates
     seeded the multiprecision phase (0 when that phase was skipped);
-    mp_sweeps counts the sweeps at `precision` bits.  converged says every
-    root passed the backward-error test before the Newton polish.
+    mp_sweeps counts the sweeps of that phase, run in a fixed point fine
+    enough to keep `precision` relative bits at every possible root (see
+    `_aberth_roots`).  converged says every root passed the backward-error
+    test at 2^-precision before the Newton polish.
     """
 
     degree: int
@@ -528,10 +532,10 @@ def _aberth_sweeps(coeffs, roots: list, eps, max_iter: int) -> tuple[int, bool]:
     """Aberth-Ehrlich sweeps over `roots`, updated in place.
 
     Generic over the scalar type, like `horner`: Python floats and complex
-    with eps = 2^-53, or mpmath at the working precision with eps = 2^-prec.
-    A root is frozen once it passes Bini's backward-error test
-    |p(z)| <= 4*d*eps*sum|c_i||z|^i, i.e. once it is an exact root of a
-    polynomial within rounding of p; the others keep moving, repelled by
+    with eps = 2^-53, or `_Fixed` over integer coefficients with
+    eps = 2^-prec.  A root is frozen once it passes Bini's backward-error
+    test |p(z)| <= 4*d*eps*sum|c_i||z|^i, i.e. once it is an exact root of
+    a polynomial within rounding of p; the others keep moving, repelled by
     all.  Returns the sweeps run and whether every root was frozen.
     """
     d = len(coeffs) - 1
@@ -562,6 +566,66 @@ def _aberth_sweeps(coeffs, roots: list, eps, max_iter: int) -> tuple[int, bool]:
     return max_iter, False
 
 
+class _Fixed:
+    """The complex number (re + i*im) / 2^scale, for integers re and im: the
+    scalar of the working-precision phase of `_aberth_roots`.
+
+    It has what `horner` and `_aberth_sweeps` use: +, -, * and / between
+    two `_Fixed`, + and * with an int on either side, int / `_Fixed`, abs
+    (a real `_Fixed`) and <= (between the real parts, for moduli).  A
+    product or quotient of two `_Fixed` is floored to a multiple of
+    2^-scale, so it is off by less than sqrt(2)*2^-scale; the rest is
+    exact.  Every operand shares one scale.
+    """
+
+    __slots__ = ("re", "im", "scale")
+
+    def __init__(self, re: int, im: int, scale: int):
+        self.re = re
+        self.im = im
+        self.scale = scale
+
+    def __add__(self, other):
+        if isinstance(other, _Fixed):
+            return _Fixed(self.re + other.re, self.im + other.im, self.scale)
+        return _Fixed(self.re + (other << self.scale), self.im, self.scale)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Fixed(self.re - other.re, self.im - other.im, self.scale)
+
+    def __mul__(self, other):
+        s = self.scale
+        if isinstance(other, _Fixed):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _Fixed((a * c - b * d) >> s, (a * d + b * c) >> s, s)
+        return _Fixed(self.re * other, self.im * other, s)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        s = self.scale
+        a, b, c, d = self.re, self.im, other.re, other.im
+        norm = c * c + d * d
+        return _Fixed(((a * c + b * d) << s) // norm,
+                      ((b * c - a * d) << s) // norm, s)
+
+    def __rtruediv__(self, other: int):
+        s = self.scale
+        c, d = self.re, self.im
+        num = other << (2 * s)
+        norm = c * c + d * d
+        return _Fixed(num * c // norm, -num * d // norm, s)
+
+    def __abs__(self):
+        return _Fixed(math.isqrt(self.re * self.re + self.im * self.im), 0,
+                      self.scale)
+
+    def __le__(self, other) -> bool:
+        return self.re <= other.re
+
+
 def _float_phase(coeffs: tuple[int, ...], max_iter: int) -> tuple[int, list | None]:
     """Double-precision Aberth iterates from the Newton-polygon starts, and
     the sweeps they took; None when a coefficient or an iterate is not a
@@ -579,40 +643,62 @@ def _float_phase(coeffs: tuple[int, ...], max_iter: int) -> tuple[int, list | No
 
 def _aberth_roots(f: IntPolynomial, precision: int, tol: float,
                   max_iter: int = 400) -> tuple[list[mpmath.mpc], SolveDiagnostics]:
-    """Roots of a square-free integer polynomial, all simple, and what the
-    solver did to find them.
+    """Roots of a square-free integer polynomial with f(0) != 0, all
+    simple, and what the solver did to find them.
 
     Cheap double-precision sweeps bring the roots close (MPSolve's
-    strategy); sweeps at the working precision, started from those
-    iterates, then need only a few more.
+    strategy); sweeps at the working precision prec, started from those
+    iterates, then need only a few more.  Those sweeps, the Newton polish
+    and the tolerance gate run on `_Fixed` with P = prec + w + bitlen(d) + 8
+    fractional bits, w the widest coefficient's bit length, over the
+    integer coefficients; mpmath only converts the starts in and rounds the
+    roots out to prec bits.
+
+    Every root has |z| >= 2^-(w+1), since |c_0| >= 1 and |c_i| < 2^w, so
+    each iterate near a root keeps at least prec relative bits.  One Horner
+    evaluation at a point z of the grid floors d + 1 products, and the error
+    of the one made k steps before the end is multiplied by z^k, so it is
+    off by at most 2*(d+1)*2^-P*max(1,|z|)^d.  As |c_0|, |c_d| >= 1, that
+    is below 2^-prec*sum|c_i||z|^i / 8, because 16*(d+1) <=
+    2^(bitlen(d)+4) <= 2^(P-prec).  Bini's freeze test
+    |p(z)| <= 4*d*2^-prec*sum|c_i||z|^i therefore stays sound: rounding
+    moves |p(z)| by under 1/(32*d) of its threshold.
     """
     d = f.degree
     prec = _working_precision(f, precision)
     with mpmath.workprec(prec):
-        coeffs = [mpmath.mpf(c) for c in f.coeffs]
-        dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
         if d == 1:
             return ([mpmath.mpc(-mpmath.mpf(f.coeffs[0]) / f.coeffs[1])],
                     SolveDiagnostics(d, 0, 0, True, prec))
         float_sweeps, starts = _float_phase(f.coeffs, max_iter)
         if starts is None:
             starts = _newton_polygon_starts(f.coeffs, mpmath.exp, mpmath.rect)
-        roots = [mpmath.mpc(z) for z in starts]
+        w = max(abs(c).bit_length() for c in f.coeffs)
+        scale = prec + w + d.bit_length() + 8
+
+        def fixed(x) -> int:
+            return mpmath.libmp.to_fixed(mpmath.mpf(x)._mpf_, scale)
+
+        roots = [_Fixed(fixed(z.real), fixed(z.imag), scale) for z in starts]
         mp_sweeps, converged = _aberth_sweeps(
-            coeffs, roots, mpmath.mpf(2) ** -prec, max_iter)
+            f.coeffs, roots, _Fixed(1 << (scale - prec), 0, scale), max_iter)
         # Newton polish at full precision
+        dcoeffs = f.derivative().coeffs
         for j in range(d):
             for _ in range(4):
-                pz = horner(coeffs, roots[j])
-                dpz = horner(dcoeffs, roots[j])
-                if dpz == 0:
+                try:
+                    roots[j] -= horner(f.coeffs, roots[j]) / horner(dcoeffs, roots[j])
+                except ZeroDivisionError:
                     break
-                roots[j] = roots[j] - pz / dpz
-        norm = max(abs(c) for c in coeffs)
+        # |p(z)| / (max|c_i| * max(1, |z|)^d) from the integers of the grid
+        norm = max(abs(c) for c in f.coeffs)
         residuals = [
-            float(abs(horner(coeffs, z)) / (norm * max(1.0, abs(z)) ** d))
+            (abs(horner(f.coeffs, z)).re << (scale * (d - 1)))
+            / (norm * max(1 << scale, abs(z).re) ** d)
             for z in roots
         ]
+        roots = [mpmath.mpc(mpmath.mpf((z.re, -scale)), mpmath.mpf((z.im, -scale)))
+                 for z in roots]
         if max(residuals) > tol:
             state = "stalled" if not converged else "converged but inaccurate"
             raise ConvergenceError(
@@ -620,4 +706,4 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float,
                 f"> tol {tol:.3e})",
                 best=list(zip(roots, residuals)))
         diagnostics = SolveDiagnostics(d, float_sweeps, mp_sweeps, converged, prec)
-        return [mpmath.mpc(z) for z in roots], diagnostics
+        return roots, diagnostics

@@ -1,7 +1,8 @@
 """Property-based checks: the three computation paths, the graph6 codec,
 exact division, the heuristic gcd, Taylor shifts, square-free
-decomposition, Horner evaluation and real-root isolation (against a Sturm
-count and against constructed real roots), on inputs drawn by hypothesis.
+decomposition, Horner evaluation (exact, and in the solver's fixed point
+against its error bound) and real-root isolation (against a Sturm count and
+against constructed real roots), on inputs drawn by hypothesis.
 
 Examples are derandomized so every run draws the same inputs."""
 
@@ -26,6 +27,7 @@ from dompoly.polynomials import (
     poly_gcd,
 )
 from dompoly.roots import (
+    _Fixed,
     _sign_at,
     count_real_roots_in,
     real_roots_exact,
@@ -150,6 +152,41 @@ def test_horner_matches_power_sum_and_sign(p, r):
     value = sum((c * r ** i for i, c in enumerate(p.coeffs)), Fraction(0))
     assert horner(p.coeffs, r) == p.eval_int(r) == value
     assert _sign_at(p, r) == (value > 0) - (value < 0)
+
+
+@deterministic
+@given(st.lists(st.integers(-2 ** 200, 2 ** 200), min_size=2, max_size=31)
+       .filter(lambda c: c[0] and c[-1]),
+       st.integers(53, 300), st.data())
+def test_fixed_point_horner_within_its_error_bound(coeffs, prec, data):
+    """Horner's rule on `_Fixed` at the solver's scale P is off by at most
+    2*(d+1)*2^-P*max(1,|z|)^d, and so by under 2^-prec*sum|c_i||z|^i / 8,
+    at points near the least root modulus 2^-(w+1), near the unit circle
+    and far outside it.  z = (a + ib)/2^P is a dyadic point, so
+    p(z)*2^(P*d) is exact in the Gaussian integers."""
+    d = len(coeffs) - 1
+    w = max(abs(c).bit_length() for c in coeffs)
+    scale = prec + w + d.bit_length() + 8  # as in `_aberth_roots`
+    e = data.draw(st.one_of(st.integers(-w - 2, -w), st.integers(-1, 1),
+                            st.integers(8, 80)))
+    part = st.integers(-(1 << (scale + e)), 1 << (scale + e))
+    a, b = data.draw(part), data.draw(part)
+    value = horner(coeffs, _Fixed(a, b, scale))
+    # Horner's rule over the Gaussian integers, c_i lifted by 2^(P*(d-i))
+    exact_re = exact_im = 0
+    for i, c in enumerate(reversed(coeffs)):
+        exact_re, exact_im = (exact_re * a - exact_im * b + (c << (scale * i)),
+                              exact_re * b + exact_im * a)
+    err_re = (value.re << (scale * (d - 1))) - exact_re
+    err_im = (value.im << (scale * (d - 1))) - exact_im
+    err2 = err_re ** 2 + err_im ** 2  # |error|^2 * 2^(2*P*d)
+    modulus2 = a * a + b * b
+    assert (err2 << (2 * scale)
+            <= 4 * (d + 1) ** 2 * max(1 << (2 * scale), modulus2) ** d)
+    # sum|c_i||z|^i * 2^(P*d), with |z| rounded down, is a lower bound
+    floor_sum = sum(abs(c) * math.isqrt(modulus2) ** i << (scale * (d - i))
+                    for i, c in enumerate(coeffs))
+    assert err2 * 64 << (2 * prec) <= floor_sum ** 2
 
 
 def sturm_variations(chain, x):

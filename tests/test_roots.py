@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 
 import dompoly.polynomials
@@ -16,6 +17,7 @@ from dompoly.domination import corona_poly, family_poly
 from dompoly.graphs import FamilySpec
 from dompoly.polynomials import ONE, X, IntPolynomial
 from dompoly.roots import (
+    _aberth_roots,
     _newton_polygon_starts,
     all_roots,
     count_real_roots_in,
@@ -330,6 +332,51 @@ def test_all_roots_without_float_phase():
         values = sorted(rs.complex_roots, key=lambda r: float(r.value.real))
         for r, expect in zip(values, (-mpmath.mpf(2) ** 550, mpmath.mpf(2) ** 550)):
             assert abs(r.value - expect) < mpmath.mpf(2) ** (550 - 200)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("friendship", n) for n in range(1, 13)]
+    + [("book", n) for n in range(1, 11)]
+    + [("cycle", n) for n in range(3, 26)])
+def test_roots_agree_with_mpmath_polyroots(kind, n):
+    """The distinct nonzero roots agree to >= 70 digits, one to one, with
+    mpmath's own solver (Durand-Kerner) at 600 bits on the square-free
+    part, started from numpy's companion-matrix eigenvalues."""
+    p = family_poly(FamilySpec(kind, n))
+    got = [r.value for r in all_roots(p).complex_roots]
+    f = square_free_part(P(p.coeffs[p.valuation:]))
+    with mpmath.workprec(600):
+        starts = numpy.roots([float(c) for c in f.coeffs[::-1]])
+        ref = mpmath.polyroots(f.coeffs[::-1], maxsteps=60, extraprec=128,
+                               roots_init=[mpmath.mpc(complex(z)) for z in starts])
+        assert len(got) == len(ref) == f.degree
+        for a, b in ((got, ref), (ref, got)):
+            for z in a:
+                assert min(abs(z - w) for w in b) <= 1e-70 * max(1, abs(z))
+
+
+@pytest.mark.parametrize("kind, n", [("friendship", 20), ("cycle", 20)])
+def test_working_precision_phase_makes_no_mpmath_products(monkeypatch, kind, n):
+    """The sweeps, polish and tolerance gate of the solver run on integers:
+    not one mpmath complex product, so a return to mpmath arithmetic there
+    fails here and not only in the benchmark."""
+    calls = []
+    for name in ("mpc_mul", "mpc_mul_mpf", "mpc_mul_int"):
+        original = getattr(mpmath.ctx_mp_python, name)
+
+        def counting(*args, _original=original):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(mpmath.ctx_mp_python, name, counting)
+    mpmath.mpc(1, 2) * mpmath.mpc(3, 4)
+    assert calls == [1]  # the counter sees mpmath's products
+    p = family_poly(FamilySpec(kind, n))
+    for factor, _ in square_free_decomposition(P(p.coeffs[p.valuation:])):
+        _, diag = _aberth_roots(factor, 256, 1e-20)
+        assert diag.mp_sweeps >= 1
+    assert calls == [1]
 
 
 def test_newton_polygon_starts_match_root_moduli():
