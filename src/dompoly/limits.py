@@ -17,23 +17,22 @@ locus visibly is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .domination import ExponentialFamily, family_poly
-from .graphs import FamilySpec
+from .domination import ExponentialFamily
 from .polynomials import IntPolynomial, horner
 from .roots import all_roots
 
 BOOK_JUNCTION_RE = -1.5 - math.sqrt(2) / 2  # where the book arcs meet
 
-_DEGENERACY_SAMPLES = 17
 _DOMINANCE_SLACK = 1e-9
 _BISECTION_STEPS = 200
 _CHORDAL_SAMPLES = 513  # odd: the real-axis vertices are among the samples
+_CHORDAL_IM_MAX = 3.0  # |Im w| sampled uniformly below this, in 1/Im w beyond
 
 
 # -- curve containers -----------------------------------------------------------
@@ -41,15 +40,13 @@ _CHORDAL_SAMPLES = 513  # odd: the real-axis vertices are among the samples
 
 @dataclass(frozen=True)
 class CurvePiece:
-    """One labeled arc: ordered samples, an implicit-form identifier, a
-    real-part validity window, and the residual function of its implicit
-    equation."""
+    """One labeled arc: ordered samples, an implicit-form identifier and a
+    real-part validity window."""
 
     implicit_id: str
     points: tuple[complex, ...]
     re_window: tuple[float, float] = (-math.inf, math.inf)
     connected: bool = True
-    residual: Callable[[complex], float] | None = field(default=None, compare=False)
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -79,14 +76,6 @@ def hyperbola_residual(z: complex) -> float:
     return abs((z.real + 1) ** 2 - z.imag ** 2 - 0.5)
 
 
-def circle_residual(z: complex) -> float:
-    return abs(abs(z + 2) - 1)
-
-
-def modulus_balance_residual(z: complex) -> float:
-    return abs(abs(z + 1) ** 2 - abs(z))
-
-
 # -- analytic curves -------------------------------------------------------------
 
 
@@ -104,8 +93,8 @@ def friendship_limit_curve(samples: int = 513, im_max: float = 3.0) -> LimitCurv
     left = _complexes(-1 - root, bs)
     return LimitCurve(
         pieces=(
-            CurvePiece("hyperbola", right, residual=hyperbola_residual),
-            CurvePiece("hyperbola", left, residual=hyperbola_residual),
+            CurvePiece("hyperbola", right),
+            CurvePiece("hyperbola", left),
         ),
         isolated_points=(0j,),
     )
@@ -139,19 +128,17 @@ def book_limit_curve(samples: int = 513) -> LimitCurve:
     a_min = (-3 - math.sqrt(5)) / 2  # where the arc closes on the real axis
     half = max(2, samples // 2)
     upper = _lerp(j_re, a_min, _unit_steps(half))
-    lower = _lerp(a_min, j_re, _unit_steps(half))
+    # the upper half already ends at the real-axis point a_min
+    lower = _lerp(a_min, j_re, _unit_steps(half))[1:]
     balance_pts = (_modulus_balance_points(upper, 1.0)
                    + _modulus_balance_points(lower, -1.0))
 
     return LimitCurve(
         pieces=(
-            CurvePiece("circle", circle_pts, re_window=(j_re, math.inf),
-                       residual=circle_residual),
-            CurvePiece("hyperbola", hyper_pts, re_window=(-1.0, math.inf),
-                       residual=hyperbola_residual),
+            CurvePiece("circle", circle_pts, re_window=(j_re, math.inf)),
+            CurvePiece("hyperbola", hyper_pts, re_window=(-1.0, math.inf)),
             CurvePiece("modulus-balance", balance_pts,
-                       re_window=(-math.inf, j_re),
-                       residual=modulus_balance_residual),
+                       re_window=(-math.inf, j_re)),
         ),
         isolated_points=(0j, complex(-0.5, 0.0)),
     )
@@ -226,8 +213,8 @@ def bkw_limit_points(family: ExponentialFamily, grid: GridRegion | None = None,
     operation is the one Python complex arithmetic performs on a single
     point, so every point is bit-identical to a point-by-point evaluation.
 
-    Rejects degenerate families where some lambda_i is a unit-modulus scalar
-    multiple of another (the locus would be the whole plane).
+    Rejects degenerate families where lambda_i = +-lambda_j for some pair
+    (the locus would be the whole plane).
     """
     grid = grid or GridRegion()
     lambdas: Sequence[IntPolynomial] = tuple(family.lambdas)
@@ -249,7 +236,6 @@ def bkw_limit_points(family: ExponentialFamily, grid: GridRegion | None = None,
                         points=pts,
                         re_window=(grid.re_min, grid.re_max),
                         connected=False,
-                        residual=_pair_residual(lambdas, i, j),
                     ))
     return LimitCurve(pieces=tuple(pieces),
                       isolated_points=_isolated_points(lambdas, family.alphas))
@@ -296,21 +282,17 @@ class _SplitComplex:
 
 
 def _reject_degenerate(lambdas: Sequence[IntPolynomial]) -> None:
+    """Raise when |lambda_i| = |lambda_j| on the whole plane.
+
+    Then lambda_i / lambda_j has constant modulus, so it is a constant (open
+    mapping theorem), and a constant ratio of two integer polynomials is
+    rational: of modulus 1, it is +1 or -1.
+    """
     for i in range(len(lambdas)):
         for j in range(i + 1, len(lambdas)):
-            ratios = []
-            for t in range(_DEGENERACY_SAMPLES):
-                ang = 2 * math.pi * t / _DEGENERACY_SAMPLES + 0.1
-                z = 1.234567 * complex(math.cos(ang), math.sin(ang))
-                den = horner(lambdas[j].coeffs, z)
-                if abs(den) > 1e-9:
-                    ratios.append(horner(lambdas[i].coeffs, z) / den)
-            if len(ratios) >= 5:
-                spread = max(abs(r - ratios[0]) for r in ratios)
-                if spread < 1e-9 and abs(abs(ratios[0]) - 1) < 1e-9:
-                    raise ValueError(
-                        f"degenerate family: lambda_{i} is a unit-modulus "
-                        f"multiple of lambda_{j}")
+            if lambdas[i] == lambdas[j] or lambdas[i] == -lambdas[j]:
+                raise ValueError(
+                    f"degenerate family: lambda_{i} = +-lambda_{j}")
 
 
 def _isolated_points(lambdas: Sequence[IntPolynomial],
@@ -330,15 +312,6 @@ def _isolated_points(lambdas: Sequence[IntPolynomial],
                 isolated.append(z)
     isolated.sort(key=lambda z: (z.real, z.imag))
     return tuple(isolated)
-
-
-def _pair_residual(lambdas, i, j) -> Callable[[complex], float]:
-    li, lj = lambdas[i], lambdas[j]
-
-    def gap(z: complex) -> float:
-        return abs(abs(horner(li.coeffs, z)) - abs(horner(lj.coeffs, z)))
-
-    return gap
 
 
 def _trace_pair(lambdas, i, j, re: np.ndarray, im: np.ndarray, moduli,
@@ -450,7 +423,7 @@ def distance_to_curve(z: complex, curve: LimitCurve) -> float:
     return best
 
 
-def chordal_distance_to_hyperbola(z: complex, im_max: float = 3.0) -> float:
+def chordal_distance_to_hyperbola(z: complex) -> float:
     """Chordal distance from z to the closure of the friendship hyperbola on
     the Riemann sphere: both branches of (Re x + 1)^2 - (Im x)^2 = 1/2 plus
     the point at infinity.
@@ -460,13 +433,12 @@ def chordal_distance_to_hyperbola(z: complex, im_max: float = 3.0) -> float:
     can approach it on the sphere while receding from it in the plane.
 
     Each branch is minimised as a whole, not near its Euclidean-nearest
-    sample: Im w is sampled uniformly over [-im_max, im_max] and uniformly in
-    1/Im w beyond it, out to infinity, and every local minimum among the
-    samples is refined by golden-section search.  im_max only moves the
-    samples; the result does not depend on it.
+    sample: Im w is sampled uniformly over [-_CHORDAL_IM_MAX, _CHORDAL_IM_MAX]
+    and uniformly in 1/Im w beyond it, out to infinity, and every local
+    minimum among the samples is refined by golden-section search.
+    _CHORDAL_IM_MAX only moves the samples; the result does not depend on it.
     """
-    if im_max <= 0:
-        raise ValueError("im_max must be positive")
+    im_max = _CHORDAL_IM_MAX
     z_scale = math.sqrt(1 + abs(z) ** 2)
     to_infinity = 2 / z_scale
     best = to_infinity
@@ -506,26 +478,3 @@ def _golden_min(f: Callable[[float], float], a: float, b: float) -> float:
             d = a + ratio * (b - a)
             fd = f(d)
     return min(fc, fd)
-
-
-# -- root-approach pipeline ----------------------------------------------------------
-
-
-def friendship_root_spray(n: int, precision: int = 256,
-                          exclusion_radius: float = 0.15,
-                          samples: int = 4001) -> tuple[list[complex], list[float]]:
-    """The nonzero roots of the n-th friendship polynomial outside a disk
-    around the isolated limit point 0, and their Euclidean distances to the
-    hyperbola, in the same order.
-
-    The root 0 itself is exact in every member and the points approaching the
-    isolated limit 0 are not near the curve, hence the exclusion disk.
-    """
-    root_set = all_roots(family_poly(FamilySpec("friendship", n)),
-                         precision=precision)
-    pts = [complex(r.value) for r in root_set.complex_roots
-           if abs(complex(r.value)) > exclusion_radius]
-    im_max = max(3.0, max((abs(z.imag) for z in pts), default=0.0) + 0.5)
-    curve = friendship_limit_curve(samples=samples, im_max=im_max)
-    return pts, [distance_to_curve(z, curve) for z in pts]
-

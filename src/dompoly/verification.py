@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
+import tempfile
 import time
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
@@ -31,11 +34,12 @@ from .limits import (
     GridRegion,
     bkw_limit_points,
     chordal_distance_to_hyperbola,
-    friendship_root_spray,
+    distance_to_curve,
+    friendship_limit_curve,
     hyperbola_residual,
 )
 from .polynomials import IntPolynomial
-from .roots import count_real_roots_in, integer_roots, real_roots_exact
+from .roots import all_roots, count_real_roots_in, integer_roots, real_roots_exact
 
 # Frozen 10-significant-digit reference values for the nonzero real roots of
 # the friendship polynomials (independently reproduced by exact isolation).
@@ -213,10 +217,21 @@ _spray_cache: dict[int, tuple[list[complex], list[float]]] = {}
 
 
 def _root_spray(n: int) -> tuple[list[complex], list[float]]:
-    """Friendship roots outside the 0-disk and their Euclidean distances to
-    the hyperbola, solved once per n and shared by the limit-curve checks."""
+    """The nonzero friendship:n roots outside the disk of radius 0.15 around
+    the isolated limit point 0, and their Euclidean distances to the
+    hyperbola, in the same order; solved once per n and shared by the
+    limit-curve checks.
+
+    The root 0 is exact in every member, and the roots approaching the
+    isolated limit 0 are not near the curve, hence the exclusion disk.
+    """
     if n not in _spray_cache:
-        _spray_cache[n] = friendship_root_spray(n)
+        root_set = all_roots(family_poly(FamilySpec("friendship", n)))
+        pts = [z for z in (complex(r.value) for r in root_set.complex_roots)
+               if abs(z) > 0.15]
+        im_max = max(3.0, max((abs(z.imag) for z in pts), default=0.0) + 0.5)
+        curve = friendship_limit_curve(samples=4001, im_max=im_max)
+        _spray_cache[n] = pts, [distance_to_curve(z, curve) for z in pts]
     return _spray_cache[n]
 
 
@@ -363,20 +378,37 @@ def check_parity_invariant() -> CheckResult:
     return _result("parity-invariant", claim, not problems, detail, started)
 
 
+def _exported_csv(family: str, n_max: int, samples: int) -> tuple[str, str] | None:
+    """The scatter and curve CSV texts that `dompoly limits --export csv`
+    writes for members 1..n_max, or None if it exits nonzero.  Its stdout is
+    discarded."""
+    from . import cli
+
+    with tempfile.TemporaryDirectory() as out_dir, redirect_stdout(io.StringIO()):
+        code = cli.main(["limits", "--family", family, "--n-max", str(n_max),
+                         "--export", "csv", "--output-dir", out_dir,
+                         "--precision", "128", "--tol", "1e-18",
+                         "--samples", str(samples)])
+        if code != cli.EXIT_OK:
+            return None
+        texts = []
+        for kind in ("scatter", "curve"):
+            with open(os.path.join(out_dir, f"{family}_{kind}.csv"),
+                      encoding="utf-8") as fh:
+                texts.append(fh.read())
+    return texts[0], texts[1]
+
+
 def check_export_pipeline() -> CheckResult:
     started = time.time()
     claim = ("root-scatter and curve data exports are well-formed, "
              "residual-checked, and byte-deterministic")
-    from . import cli
-
+    outputs = [_exported_csv("friendship", 6, 257) for _ in range(2)]
+    book = _exported_csv("book", 4, 129)
+    if None in (*outputs, book):
+        return _result("export-pipeline", claim, False,
+                       "dompoly limits --export csv exited nonzero", started)
     problems = []
-    outputs = []
-    for _ in range(2):
-        scatter = io.StringIO()
-        curve = io.StringIO()
-        cli.export_limits_csv("friendship", 6, scatter, curve, precision=128,
-                              tol=1e-18, samples=257)
-        outputs.append((scatter.getvalue(), curve.getvalue()))
     if outputs[0] != outputs[1]:
         problems.append("repeated export differs byte-for-byte")
     scatter_rows = list(csv.reader(io.StringIO(outputs[0][0])))
@@ -396,14 +428,11 @@ def check_export_pipeline() -> CheckResult:
         if float(res_s) > 1e-18:
             problems.append(f"scatter residual {res_s} too large")
             break
-    book_scatter, book_curve = io.StringIO(), io.StringIO()
-    cli.export_limits_csv("book", 4, book_scatter, book_curve, precision=128,
-                          tol=1e-18, samples=129)
-    book_pieces = {row[2] for row in
-                   list(csv.reader(io.StringIO(book_curve.getvalue())))[1:]}
+    book_scatter, book_curve = book
+    book_pieces = {row[2] for row in list(csv.reader(io.StringIO(book_curve)))[1:]}
     if not {"circle", "hyperbola", "modulus-balance"} <= book_pieces:
         problems.append(f"book curve pieces incomplete: {sorted(book_pieces)}")
-    if len(book_scatter.getvalue().splitlines()) < 10:
+    if len(book_scatter.splitlines()) < 10:
         problems.append("book scatter suspiciously small")
     detail = "; ".join(problems) if problems else (
         f"{len(scatter_rows) - 1} scatter rows, {len(curve_rows) - 1} curve "

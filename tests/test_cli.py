@@ -13,8 +13,8 @@ from dompoly.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
+    MAX_SAMPLES,
     _poly_methods,
-    export_limits_csv,
     main,
 )
 from dompoly.domination import family_poly
@@ -210,14 +210,18 @@ def test_limits_export_csv(tmp_path, capsys):
     assert "max root modulus" in out
 
 
-def test_limits_export_deterministic():
-    bufs = []
-    for _ in range(2):
-        scatter, curve = io.StringIO(), io.StringIO()
-        export_limits_csv("friendship", 5, scatter, curve, precision=128,
-                          samples=101)
-        bufs.append((scatter.getvalue(), curve.getvalue()))
-    assert bufs[0] == bufs[1]
+def test_limits_export_deterministic(tmp_path, capsys):
+    runs = []
+    for out_dir in (tmp_path / "first", tmp_path / "second"):
+        code, out, _ = run(capsys, "limits", "--family", "friendship",
+                           "--n-max", "5", "--export", "csv",
+                           "--output-dir", str(out_dir), "--precision", "128",
+                           "--samples", "101")
+        assert code == EXIT_OK
+        runs.append([out.replace(str(out_dir), "DIR")]
+                    + [(out_dir / name).read_bytes() for name in
+                       ("friendship_scatter.csv", "friendship_curve.csv")])
+    assert runs[0] == runs[1]
 
 
 def test_limits_book_export(tmp_path, capsys):
@@ -355,6 +359,7 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     ("--n-max two", "limits --family friendship"),
     ("--resolution 1", "limits --family friendship"),
     ("--resolution 2001", "limits --family friendship"),
+    (f"--samples {MAX_SAMPLES + 1}", "limits --family friendship --export csv"),
 ])
 def test_numeric_flags_rejected_at_parse_time(capsys, monkeypatch, flag, command):
     def no_work(*args, **kwargs):
@@ -380,3 +385,13 @@ def test_roots_constant_polynomial(capsys):
     entry = json.loads(out)[0]
     assert entry["zero_multiplicity"] == 0
     assert entry["complex_roots"] == [] and entry["real_roots"] == []
+
+
+def test_verify_report_is_deterministic(capsys):
+    outputs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "verify")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "11/11 checks passed"
+        outputs.append(out)
+    assert outputs[0] == outputs[1]

@@ -4,7 +4,10 @@ equimodular tracer, and point-to-curve distances."""
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dompoly.limits
 from dompoly.domination import (
     ExponentialFamily,
     book_family,
@@ -24,7 +27,6 @@ from dompoly.limits import (
     distance_to_curve,
     friendship_limit_curve,
     hyperbola_residual,
-    modulus_balance_residual,
 )
 from dompoly.polynomials import ONE, X, IntPolynomial
 
@@ -33,6 +35,13 @@ P = IntPolynomial
 # the friendship family in y = 1 + x: 1*(y^2-1)^n + (y-1)*(y^2)^n
 SHIFTED_FRIENDSHIP = ExponentialFamily((ONE, P([-1, 1])),
                                        (P([-1, 0, 1]), P([0, 0, 1])))
+
+# the implicit equation of each analytic piece, as a residual
+ANALYTIC_RESIDUALS = {
+    "hyperbola": hyperbola_residual,
+    "circle": lambda z: abs(abs(z + 2) - 1),
+    "modulus-balance": lambda z: abs(abs(z + 1) ** 2 - abs(z)),
+}
 
 
 # -- families and members -----------------------------------------------------
@@ -101,7 +110,7 @@ def test_book_curve_pieces():
     assert set(by_id) == {"circle", "hyperbola", "modulus-balance"}
     for piece in curve.pieces:
         for z in piece.points:
-            assert piece.residual(z) <= 1e-12
+            assert ANALYTIC_RESIDUALS[piece.implicit_id](z) <= 1e-12
     # windows
     assert by_id["circle"].re_window[0] == pytest.approx(BOOK_JUNCTION_RE)
     assert by_id["hyperbola"].re_window[0] == -1.0
@@ -130,7 +139,7 @@ def test_book_curve_junction_continuity():
 def test_modulus_balance_real_axis():
     # real solutions of |x+1|^2 = |x| for x < 0: (-3 +- sqrt 5)/2
     for r in ((-3 + math.sqrt(5)) / 2, (-3 - math.sqrt(5)) / 2):
-        assert modulus_balance_residual(complex(r, 0)) < 1e-12
+        assert ANALYTIC_RESIDUALS["modulus-balance"](complex(r, 0)) < 1e-12
     curve = book_limit_curve(samples=301)
     balance = next(p for p in curve.pieces if p.implicit_id == "modulus-balance")
     leftmost = min(z.real for z in balance.points)
@@ -154,6 +163,48 @@ def test_tracer_rejects_degenerate_family():
         bkw_limit_points(ExponentialFamily((ONE, ONE), (X, -1 * X)))
 
 
+def test_tracer_accepts_nearly_equimodular_high_degree_pair():
+    # |x^120 + 1| / |x^120| is within 1e-11 of 1 on |x| = 1.23, yet the
+    # locus is the curve Re(x^120) = -1/2, not the whole plane
+    curve = bkw_limit_points(ExponentialFamily((ONE, ONE), (X ** 120 + ONE, X ** 120)))
+    assert [piece.implicit_id for piece in curve.pieces] == ["equimodular:0:1"]
+
+
+_SMALL_LAMBDAS = st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(P).filter(
+    lambda p: not p.is_zero)
+
+
+def _moduli_tie_everywhere(p, q):
+    """|p| = |q| on the whole plane, decided exactly: for real coefficients
+    |p(z)|^2 = p(z) p(conj z), and z, conj z vary independently, so the
+    moduli tie iff p(z) p(w) = q(z) q(w) as polynomials in z and w."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    a = list(p.coeffs) + [0] * (n - len(p.coeffs))
+    b = list(q.coeffs) + [0] * (n - len(q.coeffs))
+    return all(a[i] * a[j] == b[i] * b[j] for i in range(n) for j in range(n))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_SMALL_LAMBDAS, _SMALL_LAMBDAS, st.sampled_from([None, None, None, 1, -1]))
+@example(X ** 120 + ONE, X ** 120, None)
+@example(2 * ONE, -2 * ONE, None)
+def test_tracer_rejects_exactly_the_signed_copies(first, second, copy_sign):
+    """bkw_limit_points raises exactly when the two moduli tie on the whole
+    plane, that is when lambda_0 = +-lambda_1; copy_sign makes lambda_1 =
+    copy_sign * lambda_0 often enough to test both sides."""
+    if copy_sign is not None:
+        second = copy_sign * first
+    family = ExponentialFamily((ONE, ONE), (first, second))
+    degenerate = _moduli_tie_everywhere(first, second)
+    assert degenerate == (first == second or first == -second)
+    grid = GridRegion(-2, 2, -2, 2, 4, 4)
+    if degenerate:
+        with pytest.raises(ValueError, match="degenerate"):
+            bkw_limit_points(family, grid)
+    else:
+        bkw_limit_points(family, grid)
+
+
 def test_tracer_friendship_recovers_hyperbola():
     curve = bkw_limit_points(friendship_family(),
                              GridRegion(-4, 2, -3, 3, 100, 100))
@@ -161,9 +212,11 @@ def test_tracer_friendship_recovers_hyperbola():
     assert len(pts) > 100
     assert max(hyperbola_residual(z) for z in pts) < 1e-10
     assert curve.isolated_points == (0j,)
+    # the one pair: |x^2 + 2x| = |(1 + x)^2|
     for piece in curve.pieces:
+        assert piece.implicit_id == "equimodular:0:1"
         for z in piece.points:
-            assert piece.residual(z) <= 1e-12
+            assert abs(abs(z * z + 2 * z) - abs((1 + z) ** 2)) <= 1e-12
 
 
 def test_tracer_friendship_y_variable():
@@ -289,11 +342,7 @@ def test_chordal_distance_conjugate_symmetric(z):
 
 
 @pytest.mark.parametrize("z", _PROBES)
-def test_chordal_distance_independent_of_window(z):
-    assert chordal_distance_to_hyperbola(z, im_max=6.0) == \
-        pytest.approx(chordal_distance_to_hyperbola(z, im_max=3.0), abs=1e-9)
-
-
-def test_chordal_distance_validation():
-    with pytest.raises(ValueError):
-        chordal_distance_to_hyperbola(0j, im_max=0.0)
+def test_chordal_distance_independent_of_window(z, monkeypatch):
+    default = chordal_distance_to_hyperbola(z)
+    monkeypatch.setattr(dompoly.limits, "_CHORDAL_IM_MAX", 6.0)
+    assert chordal_distance_to_hyperbola(z) == pytest.approx(default, abs=1e-9)

@@ -22,7 +22,6 @@ from dompoly.limits import (
     LimitCurve,
     _isolated_points,
     _lerp,
-    _pair_residual,
     _reject_degenerate,
     _SplitComplex,
     bkw_limit_points,
@@ -64,7 +63,6 @@ def reference_bkw_limit_points(family, grid, tol=1e-12):
                     points=tuple(pts),
                     re_window=(grid.re_min, grid.re_max),
                     connected=False,
-                    residual=_pair_residual(lambdas, i, j),
                 ))
     return LimitCurve(pieces=tuple(pieces),
                       isolated_points=_isolated_points(lambdas, family.alphas))
@@ -155,7 +153,7 @@ def reference_book_limit_curve(samples=513):
     a_min = (-3 - math.sqrt(5)) / 2
     half = max(2, samples // 2)
     upper = [_lerp(j_re, a_min, t / (half - 1)) for t in range(half)]
-    lower = [_lerp(a_min, j_re, t / (half - 1)) for t in range(half)]
+    lower = [_lerp(a_min, j_re, t / (half - 1)) for t in range(1, half)]
     balance_pts = ([_modulus_balance_point(a, 1.0) for a in upper]
                    + [_modulus_balance_point(a, -1.0) for a in lower])
     return [circle_pts, hyper_pts, tuple(balance_pts)]
@@ -343,15 +341,16 @@ def test_distance_clamps_at_segment_ends():
 
 
 def test_book_curve_zero_length_segment_without_warnings():
-    """The modulus-balance piece's halves meet at (-3-sqrt5)/2 in a segment
-    of length 0; its distance is |z - a|, with no numpy RuntimeWarning."""
+    """The modulus-balance piece's halves meet at (-3-sqrt5)/2 in one point,
+    not in a segment of length 0.  A zero-length segment there has distance
+    |z - a|, with no numpy RuntimeWarning."""
     curve = book_limit_curve()
     balance = next(p for p in curve.pieces if p.implicit_id == "modulus-balance")
     joins = [k for k, (a, b) in enumerate(zip(balance.points, balance.points[1:]))
              if a == b]
-    assert len(joins) == 1
+    assert len(joins) == 0
     a_min = (-3 - math.sqrt(5)) / 2
-    join = balance.points[joins[0]]
+    join = min(balance.points, key=lambda z: z.real)
     assert join.real == pytest.approx(a_min)
     only = LimitCurve(pieces=(CurvePiece("join", (join, join)),))
     with warnings.catch_warnings():
