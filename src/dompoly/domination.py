@@ -10,6 +10,7 @@ graph of n isolated vertices has polynomial x^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,9 +25,10 @@ from .graphs import (
 )
 from .polynomials import ONE, X, IntPolynomial
 
-BRUTE_FORCE_BUDGET_BITS = 26
+BRUTE_FORCE_BUDGET_BITS = 26  # vertices; keeps every mask within an int64 entry
 
-_CHUNK_BITS = 13  # low-half table size for the subset sweep
+_CHUNK_BITS = 13  # width of the low-half table in the subset sweep
+_SWEEP_BLOCK = 1 << 16  # table entries per vectorized step of the sweep
 
 
 class EnumerationBudgetError(ValueError):
@@ -34,63 +36,100 @@ class EnumerationBudgetError(ValueError):
     recurrence path instead."""
 
 
-def _check_budget(g: Graph, budget_bits: int) -> None:
-    if g.n > budget_bits:
+def _check_budget(g: Graph) -> None:
+    if g.n > BRUTE_FORCE_BUDGET_BITS:
         raise EnumerationBudgetError(
-            f"{g.n} vertices needs 2^{g.n} subsets, over the 2^{budget_bits} "
-            f"budget; use family_poly or a recurrence instead")
+            f"{g.n} vertices needs 2^{g.n} subsets, over the "
+            f"2^{BRUTE_FORCE_BUDGET_BITS} budget; use family_poly or a "
+            f"recurrence instead")
 
 
-def _cover_table(masks: list[int]) -> list[int]:
-    """table[s] = union of masks[v] over the bits v of s."""
-    table = [0] * (1 << len(masks))
-    for s in range(1, len(table)):
-        low = s & -s
-        table[s] = table[s ^ low] | masks[low.bit_length() - 1]
+def _cover_table(masks: list[int]) -> np.ndarray:
+    """table[s] = union of masks[v] over the bits v of s, built by doubling:
+    the subsets that contain v = j are those without it, or'ed with masks[j]."""
+    table = np.zeros(1 << len(masks), dtype=np.int64)
+    for j, mask in enumerate(masks):
+        table[1 << j:2 << j] = table[:1 << j] | mask
     return table
+
+
+@cache
+def _popcount_table(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pop, order, starts) for the subsets s < 2^width: pop[s] is the size
+    of s, order lists the subsets by size, and those of size i are
+    order[starts[i]:starts[i + 1]].  Built by doubling like _cover_table;
+    cached, so the arrays are read-only."""
+    pop = np.zeros(1 << width, dtype=np.int64)
+    for j in range(width):
+        pop[1 << j:2 << j] = pop[:1 << j] + 1
+    order = np.argsort(pop, kind="stable")
+    starts = np.searchsorted(pop[order], np.arange(width + 1))
+    for table in (pop, order, starts):
+        table.flags.writeable = False
+    return pop, order, starts
 
 
 def _count_covering_by_size(masks: list[int], full: int) -> list[int]:
     """counts[i] = number of i-element subsets of masks whose union is full.
 
-    Splits the subset index into a low and a high half so each sweep step is
-    one vectorized OR + compare over the low table.
+    A subset splits into a low part (the first _CHUNK_BITS masks) and a high
+    part (the rest); it covers full iff low cover | high cover == full.  So
+    the number of low parts that complete a high part depends on the high
+    part only through its cover c, and
+
+        counts = sum over distinct high covers c of  b_c * h_c
+
+    where b_c[i] counts the low parts of size i with low cover | c == full,
+    h_c[j] counts the high parts of size j whose cover is c, and * is
+    polynomial multiplication.  Each distinct c costs one vectorized sweep of
+    the low table, however many high parts share it; high parts that miss
+    full even with every low vertex are dropped first.
     """
     k = len(masks)
-    if k == 0:
-        return [1] if full == 0 else [0]
     lo = min(k, _CHUNK_BITS)
-    low_table = np.array(_cover_table(masks[:lo]), dtype=np.int64)
-    low_pop = np.array([s.bit_count() for s in range(1 << lo)], dtype=np.int64)
+    low_table = _cover_table(masks[:lo])
+    low_pop, low_order, low_starts = _popcount_table(lo)
+    if k == lo:
+        return np.bincount(low_pop[low_table == full], minlength=k + 1).tolist()
     high_table = _cover_table(masks[lo:])
-    counts = [0] * (k + 1)
-    for t, high_cover in enumerate(high_table):
-        ok = (low_table | high_cover) == full
-        if ok.any():
-            t_pop = t.bit_count()
-            for i, c in enumerate(np.bincount(low_pop[ok], minlength=lo + 1)):
-                if c:
-                    counts[i + t_pop] += int(c)
-    return counts
+    high_pop = _popcount_table(k - lo)[0]
+    keep = (high_table | low_table[-1]) == full
+    covers, which = np.unique(high_table[keep], return_inverse=True)
+    width = k - lo + 1
+    h = np.bincount(which * width + high_pop[keep],
+                    minlength=len(covers) * width).reshape(len(covers), width)
+    # b[c, i] counts the size-i low parts that complete cover c: the ok flags
+    # summed over the size-i segment of the size-sorted low table
+    low_sorted = low_table[low_order]
+    b = np.empty((len(covers), lo + 1), dtype=np.int64)
+    rows = max(1, _SWEEP_BLOCK >> lo)
+    for r in range(0, len(covers), rows):
+        ok = (low_sorted | covers[r:r + rows, None]) == full
+        b[r:r + rows] = np.add.reduceat(ok, low_starts, axis=1, dtype=np.int64)
+    # sizes[i, j] = sum over c of b_c[i] * h_c[j]; counts[m] sums i + j = m
+    sizes = b.T @ h
+    counts = np.zeros(k + 1, dtype=np.int64)
+    for j in range(width):
+        counts[j:j + lo + 1] += sizes[:, j]
+    return counts.tolist()
 
 
-def brute_force_poly(g: Graph, budget_bits: int = BRUTE_FORCE_BUDGET_BITS) -> IntPolynomial:
+def brute_force_poly(g: Graph) -> IntPolynomial:
     """Exact domination polynomial by enumerating all 2^n vertex subsets."""
-    _check_budget(g, budget_bits)
+    _check_budget(g)
     if g.n == 0:
         return ONE
     return IntPolynomial(_count_covering_by_size(list(g.closed), g.full_mask))
 
 
-def restricted_count(g: Graph, u: int,
-                     budget_bits: int = BRUTE_FORCE_BUDGET_BITS) -> IntPolynomial:
+def restricted_count(g: Graph, u: int) -> IntPolynomial:
     """Polynomial counting dominating sets of g - u that avoid all of N(u).
 
     Neighborhoods are read in g itself, so the allowed vertices are exactly
     those outside N[u]; domination is tested in the deleted graph.
     """
     g._check_vertex(u)
-    _check_budget(g, budget_bits)
+    _check_budget(g)
     h = delete_vertex(g, u)
     allowed = [v - (v > u) for v in bitset_members(g.full_mask & ~g.closed[u])]
     masks = [h.closed[v] for v in allowed]
@@ -123,8 +162,7 @@ def corona_poly(q: IntPolynomial, m: int, n: int) -> IntPolynomial:
 
 # -- recurrences ----------------------------------------------------------------
 
-def recurrence_poly_vertex(g: Graph, u: int,
-                           budget_bits: int = BRUTE_FORCE_BUDGET_BITS) -> IntPolynomial:
+def recurrence_poly_vertex(g: Graph, u: int) -> IntPolynomial:
     """Vertex-contraction recurrence:
 
         D(G) = x·D(G/u) + D(G-u) + x·D(G-N[u]) - (1+x)·p_u(G)
@@ -133,15 +171,14 @@ def recurrence_poly_vertex(g: Graph, u: int,
     verifiable identity, not as a speedup.
     """
     g._check_vertex(u)
-    contracted = brute_force_poly(contract(g, u), budget_bits)
-    deleted = brute_force_poly(delete_vertex(g, u), budget_bits)
-    stripped = brute_force_poly(delete_closed_neighborhood(g, u), budget_bits)
-    p_u = restricted_count(g, u, budget_bits)
+    contracted = brute_force_poly(contract(g, u))
+    deleted = brute_force_poly(delete_vertex(g, u))
+    stripped = brute_force_poly(delete_closed_neighborhood(g, u))
+    p_u = restricted_count(g, u)
     return X * contracted + deleted + X * stripped - (ONE + X) * p_u
 
 
-def recurrence_poly_odot(g: Graph, u: int,
-                         budget_bits: int = BRUTE_FORCE_BUDGET_BITS) -> IntPolynomial:
+def recurrence_poly_odot(g: Graph, u: int) -> IntPolynomial:
     """Triangle-removing recurrence:
 
         D(G) = D(G-u) + D(G⊙u) - D(G⊙u - u)
@@ -150,9 +187,9 @@ def recurrence_poly_odot(g: Graph, u: int,
     """
     g._check_vertex(u)
     flattened = odot(g, u)
-    return (brute_force_poly(delete_vertex(g, u), budget_bits)
-            + brute_force_poly(flattened, budget_bits)
-            - brute_force_poly(delete_vertex(flattened, u), budget_bits))
+    return (brute_force_poly(delete_vertex(g, u))
+            + brute_force_poly(flattened)
+            - brute_force_poly(delete_vertex(flattened, u)))
 
 
 # -- closed forms ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .domination import BRUTE_FORCE_BUDGET_BITS, EnumerationBudgetError, brute_force_poly, family_poly
+from .domination import EnumerationBudgetError, brute_force_poly, family_poly
 from .graphs import FamilySpec, Graph, build_family, write_graph6
 from .polynomials import IntPolynomial
 
@@ -79,8 +79,8 @@ def certificate_for(a: Graph, b: Graph) -> WitnessCertificate:
     return WitnessCertificate("unavailable")
 
 
-def partition_catalog(graphs: list[Graph], ids: list[str] | None = None,
-                      budget_bits: int = BRUTE_FORCE_BUDGET_BITS) -> EquivalenceReport:
+def partition_catalog(graphs: list[Graph],
+                      ids: list[str] | None = None) -> EquivalenceReport:
     """Partition a catalog into classes of equal domination polynomial.
 
     Graphs over the enumeration budget are skipped and reported.  Identifiers
@@ -95,7 +95,7 @@ def partition_catalog(graphs: list[Graph], ids: list[str] | None = None,
     skipped: list[tuple[str, str]] = []
     for gid, g in zip(ids, graphs):
         try:
-            poly = brute_force_poly(g, budget_bits)
+            poly = brute_force_poly(g)
         except EnumerationBudgetError as exc:
             skipped.append((gid, str(exc)))
             continue
@@ -162,8 +162,7 @@ def verify_friendship_not_unique(n: int) -> NonUniquenessWitness:
 
 
 def is_d_unique_within(g: Graph, catalog: list[Graph],
-                       ids: list[str] | None = None,
-                       budget_bits: int = BRUTE_FORCE_BUDGET_BITS) -> tuple[bool, list[str]]:
+                       ids: list[str] | None = None) -> tuple[bool, list[str]]:
     """True iff no other catalog member shares g's polynomial.
 
     The verdict is only as meaningful as the catalog: equal polynomials force
@@ -172,12 +171,12 @@ def is_d_unique_within(g: Graph, catalog: list[Graph],
     """
     if ids is None:
         ids = [write_graph6(other) for other in catalog]
-    target = brute_force_poly(g, budget_bits)
+    target = brute_force_poly(g)
     witnesses = []
     for gid, other in zip(ids, catalog):
         if other == g:
             continue
-        if brute_force_poly(other, budget_bits) == target:
+        if brute_force_poly(other) == target:
             witnesses.append(gid)
     return (not witnesses, witnesses)
 

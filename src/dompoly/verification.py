@@ -131,11 +131,11 @@ def check_reference_real_roots() -> CheckResult:
 
 def check_closed_vs_brute() -> CheckResult:
     started = time.time()
-    claim = ("closed forms equal brute force: friendship n<=6, book n<=5, "
-             "contracted book n<=6")
-    cases = ([("friendship", n) for n in range(1, 7)]
-             + [("book", n) for n in range(1, 6)]
-             + [("book_contracted", n) for n in range(1, 7)])
+    claim = ("closed forms equal brute force: friendship, book and contracted "
+             "book n<=12, path, cycle and complete n=26")
+    cases = ([(kind, n) for kind in ("friendship", "book", "book_contracted")
+              for n in range(1, 13)]
+             + [(kind, 26) for kind in ("path", "cycle", "complete")])
     problems = []
     for kind, n in cases:
         spec = FamilySpec(kind, n)

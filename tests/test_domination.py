@@ -400,7 +400,12 @@ def test_union_commutes_at_polynomial_level():
 
 
 def test_brute_force_at_scale_matches_closed_forms():
-    # a million-subset instance keeps the vectorized sweep honest
-    for kind, n in (("friendship", 10), ("book", 9)):
+    # up to the 26-vertex budget; the matching (i, i + 13) and star:25 keep
+    # every high-half subset, each with its own cover, while the families,
+    # paths and cycles share few covers
+    matching = Graph(26, [(i, i + 13) for i in range(13)])
+    assert brute_force_poly(matching) == P([0, 2, 1]) ** 13
+    for kind, n in (("friendship", 10), ("book", 9), ("star", 25),
+                    ("book", 12), ("friendship", 12), ("path", 26), ("cycle", 26)):
         spec = FamilySpec(kind, n)
         assert brute_force_poly(build_family(spec)) == family_poly(spec)

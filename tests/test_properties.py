@@ -1,4 +1,5 @@
-"""Property-based checks: the three computation paths, the graph6 codec,
+"""Property-based checks: the three computation paths, brute force at every
+low/high split against an enumeration oracle, the graph6 codec,
 exact division, the heuristic gcd, Taylor shifts, square-free
 decomposition, Horner evaluation (exact, and in the solver's fixed point
 against its error bound) and real-root isolation (against a Sturm count and
@@ -10,13 +11,17 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_domination import oracle_poly, oracle_restricted
 
+from dompoly import domination
 from dompoly.domination import (
     brute_force_poly,
     recurrence_poly_odot,
     recurrence_poly_vertex,
+    restricted_count,
 )
 from dompoly.graphs import Graph, parse_graph6, write_graph6
 from dompoly.polynomials import (
@@ -44,8 +49,8 @@ deterministic = settings(derandomize=True, database=None, max_examples=60,
 
 
 @st.composite
-def graphs(draw, max_n=9):
-    n = draw(st.integers(1, max_n))
+def graphs(draw, max_n=9, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
@@ -64,6 +69,22 @@ def test_brute_force_equals_both_recurrences(g, data):
     reference = brute_force_poly(g)
     assert recurrence_poly_vertex(g, u) == reference
     assert recurrence_poly_odot(g, u) == reference
+
+
+@deterministic
+@given(graphs(max_n=12, min_n=0), st.data())
+def test_brute_force_at_every_split_equals_oracle(g, data):
+    # every low/high split of the subset sweep, so that small graphs run
+    # the grouped high-half path too
+    expected = oracle_poly(g)
+    u = data.draw(st.integers(0, g.n - 1)) if g.n else None
+    expected_restricted = oracle_restricted(g, u) if g.n else None
+    for chunk in range(g.n + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domination, "_CHUNK_BITS", chunk)
+            assert brute_force_poly(g) == expected
+            if g.n:
+                assert restricted_count(g, u) == expected_restricted
 
 
 @deterministic
