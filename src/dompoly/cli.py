@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -115,7 +116,11 @@ def _nstr(x: mpmath.mpf, digits: int = 20) -> str:
     return mpmath.nstr(x, digits, strip_zeros=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after that.
+    Each `parse_args` call returns a fresh namespace, so no option value
+    carries over from one `main` call to the next."""
     parser = argparse.ArgumentParser(
         prog="dompoly",
         description="Exact domination polynomials, their roots, and root "

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 
 import mpmath
 import pytest
 
+import dompoly.cli
 from dompoly.cli import (
     EXIT_BUDGET,
     EXIT_NUMERIC,
@@ -15,6 +18,7 @@ from dompoly.cli import (
     EXIT_PARSE,
     MAX_SAMPLES,
     _poly_methods,
+    build_parser,
     main,
 )
 from dompoly.domination import family_poly
@@ -338,6 +342,71 @@ def test_roots_convergence_failure_exit(capsys):
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err.startswith("error: Aberth iteration") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["friendship:5", "book:4", "cycle:9", "path:8"])
+@pytest.mark.parametrize("precision", ["53", "64", "256"])
+def test_roots_printed_residuals_within_tol(capsys, spec, precision):
+    """The residual --tol gates is the one printed: a report either keeps
+    every printed residual within --tol or exits 5 and prints none."""
+    code, out, err = run(capsys, "roots", "--family", spec,
+                         "--precision", precision, "--format", "json")
+    if code == EXIT_NUMERIC:
+        assert out == "" and err.count("\n") == 1
+        return
+    assert code == EXIT_OK
+    (entry,) = json.loads(out)
+    tol = float(entry["tolerance"])
+    assert entry["complex_roots"]
+    assert all(float(r["residual"]) <= tol for r in entry["complex_roots"])
+
+
+def test_roots_friendship_5_at_53_bits_misses_default_tol(capsys):
+    # rounded to 53 bits, its roots leave residuals up to about 1e-18
+    code, out, err = run(capsys, "roots", "--family", "friendship:5",
+                         "--precision", "53", "--format", "csv")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "roots", "--family", "friendship:5",
+                       "--precision", "53", "--tol", "1e-15", "--format", "csv")
+    assert code == EXIT_OK
+    residuals = [float(row[2]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+    assert max(residuals) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", ["friendship:7", "book:6", "cycle:11", "star:9"])
+def test_roots_conjugates_print_equal_residuals(capsys, spec):
+    code, out, _ = run(capsys, "roots", "--family", spec, "--format", "json")
+    assert code == EXIT_OK
+    roots = json.loads(out)[0]["complex_roots"]
+    residual = {(r["re"], r["im"]): r["residual"] for r in roots}
+    lower = [(re, im) for re, im in residual
+             if im.startswith("-") and abs(float(im)) > 1e-40]
+    assert lower
+    for re, im in lower:
+        assert residual[re, im[1:]] == residual[re, im]
+
+
+def test_parser_built_once_and_options_do_not_leak(capsys, monkeypatch):
+    monkeypatch.delenv("DOMPOLY_PRECISION", raising=False)
+    code, out, _ = run(capsys, "roots", "--family", "friendship:2",
+                       "--format", "json", "--precision", "128")
+    assert code == EXIT_OK and json.loads(out)[0]["precision_bits"] == 128
+    code, out, _ = run(capsys, "roots", "--family", "friendship:2",
+                       "--format", "json")
+    assert code == EXIT_OK and json.loads(out)[0]["precision_bits"] == 256
+    assert build_parser() is build_parser()
+
+
+def test_parser_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(dompoly.cli.__file__))
+    probe = ("import dompoly.cli as cli; "
+             "print(cli.build_parser.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout == "0\n"
 
 
 @pytest.mark.parametrize("command", ["roots", "limits"])

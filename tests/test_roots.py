@@ -204,6 +204,18 @@ def test_integer_roots_huge_trailing_coefficient():
     assert integer_roots(p) == [-big, 2]
 
 
+@pytest.mark.parametrize("n", [499999, 10 ** 6 + 3, 4999999])
+def test_integer_roots_both_routes_agree(monkeypatch, n):
+    # trailing coefficients -10n around the trial-division limit: the
+    # divisor scan and the isolating intervals find the same roots
+    p = (X + 2 * ONE) * (X - 5 * ONE) * (X * X + n * ONE)
+    found = []
+    for limit in (math.inf, -1):
+        monkeypatch.setattr(dompoly.roots, "_TRIAL_DIVISION_LIMIT", limit)
+        found.append(integer_roots(p))
+    assert found == [[-2, 5]] * 2
+
+
 # -- complex solver ---------------------------------------------------------------
 
 
@@ -301,7 +313,7 @@ def test_all_roots_diagnostics():
     # Near x = -1.7 doubles cannot evaluate D(F_30, x): their rounding error
     # there exceeds the spacing of the roots, so about half the
     # double-precision iterates are not yet near a root and need the sweeps
-    # at 256 bits (27 on CPython 3.11, x86-64), still far below max_iter
+    # at 256 bits (27 on CPython 3.11, x86-64), still far below the cap of 400
     assert diag.mp_sweeps <= 40
     # members whose roots doubles can resolve need only a few
     assert all(d.converged and d.mp_sweeps <= 10
@@ -377,6 +389,28 @@ def test_working_precision_phase_makes_no_mpmath_products(monkeypatch, kind, n):
         _, diag = _aberth_roots(factor, 256, 1e-20)
         assert diag.mp_sweeps >= 1
     assert calls == [1]
+
+
+@pytest.mark.parametrize("p", [
+    family_poly(FamilySpec("friendship", 20)),
+    (X * (X + 2 * ONE) * P([2, 2, 1])) ** 4,
+], ids=["friendship:20", "corona"])
+def test_all_roots_evaluates_nothing_in_mpmath(monkeypatch, p):
+    """Residuals come from the solver's fixed point, at the returned roots;
+    no mpmath re-evaluation of p follows."""
+    calls = []
+    original = IntPolynomial.eval_complex
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntPolynomial, "eval_complex", counting)
+    P([1, 1]).eval_complex(1)
+    assert calls == [1]  # the counter sees evaluations
+    rs = all_roots(p)
+    assert calls == [1]
+    assert all(r.residual <= 1e-20 for r in rs.complex_roots)
 
 
 def test_newton_polygon_starts_match_root_moduli():
