@@ -50,10 +50,10 @@ from .limits import (
 )
 from .polynomials import DEFAULT_PRECISION, MIN_PRECISION, IntPolynomial, terms_text
 from .roots import (
-    DEFAULT_TOL,
     ConvergenceError,
     RootSet,
     all_roots,
+    default_tol,
     integer_roots,
     real_roots_exact,
 )
@@ -84,6 +84,14 @@ def _default_precision() -> int:
     if value < MIN_PRECISION:
         raise ValueError(f"{PRECISION_ENV} must be >= {MIN_PRECISION}")
     return value
+
+
+def _precision_and_tol(args) -> tuple[int, float]:
+    """The working precision (--precision, else the environment default)
+    and the residual tolerance (--tol, else `default_tol` of that
+    precision) of a roots or limits command."""
+    precision = args.precision or _default_precision()
+    return precision, default_tol(precision) if args.tol is None else args.tol
 
 
 def _tolerance(text: str) -> float:
@@ -138,8 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help=f"working precision in bits (>= {MIN_PRECISION}; "
                              f"default ${PRECISION_ENV} or {DEFAULT_PRECISION})")
-        sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                        help="residual tolerance for the complex solver")
+        sp.add_argument("--tol", type=_tolerance, default=None,
+                        help="residual tolerance for the complex solver "
+                             "(default 1e-20, or 2^(8 - precision) when "
+                             "larger)")
 
     def add_inputs(sp):
         group = sp.add_mutually_exclusive_group(required=True)
@@ -348,7 +358,7 @@ def _root_rows(root_set: RootSet) -> list[list[str]]:
 
 
 def cmd_roots(args) -> int:
-    precision = args.precision or _default_precision()
+    precision, tol = _precision_and_tol(args)
     jobs = _resolve_inputs(args)
     reports = []
     for label, spec, graph in jobs:
@@ -361,7 +371,7 @@ def cmd_roots(args) -> int:
             # a constant, such as D(K0) = 1, has no roots to solve for
             root_set = RootSet(poly.degree, 0, (), (), ())
         else:
-            root_set = all_roots(poly, precision, args.tol)
+            root_set = all_roots(poly, precision, tol)
         # RootSet leaves the exact root 0 out of its real intervals
         zero = [(Fraction(0), Fraction(0))] if root_set.zero_multiplicity else []
         intervals = sorted([*root_set.real_intervals, *zero], key=lambda iv: iv[0])
@@ -375,7 +385,7 @@ def cmd_roots(args) -> int:
                 "input": label,
                 "polynomial": poly.to_coeff_string(),
                 "precision_bits": precision,
-                "tolerance": repr(args.tol),
+                "tolerance": repr(tol),
                 "integer_roots": ints,
                 "real_roots": [{
                     "lo": str(lo), "hi": str(hi),
@@ -459,10 +469,9 @@ def _scatter_rows(family: str, n_max: int, precision: int, tol: float):
 
 
 def cmd_limits(args) -> int:
-    precision = args.precision or _default_precision()
+    precision, tol = _precision_and_tol(args)
     grid = _parse_grid(args.grid, args.resolution)
-    rows, max_modulus = _scatter_rows(args.family, args.n_max, precision,
-                                      args.tol)
+    rows, max_modulus = _scatter_rows(args.family, args.n_max, precision, tol)
     lines = [f"# {args.family} family, members 1..{args.n_max}"]
     if args.export:
         curve = _limit_curve(args.family, args.method, args.samples, grid)
@@ -490,7 +499,7 @@ def cmd_limits(args) -> int:
             "family": args.family,
             "n_max": args.n_max,
             "precision_bits": precision,
-            "tolerance": repr(args.tol),
+            "tolerance": repr(tol),
             "scatter": [{"re": r, "im": i, "residual": res}
                         for r, i, res in rows],
             "curve": [{

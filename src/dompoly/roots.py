@@ -34,7 +34,7 @@ from .polynomials import (
     taylor_shift,
 )
 
-DEFAULT_TOL = 1e-20
+DEFAULT_TOL = 1e-20  # the default residual tolerance from 75 bits up
 DEFAULT_INTERVAL_WIDTH = Fraction(1, 2 ** 40)
 
 # the divisor scan costs what real-root isolation does at a trailing coefficient
@@ -70,7 +70,10 @@ class SolveDiagnostics:
     mp_sweeps counts the sweeps of that phase, run in a fixed point fine
     enough to keep `precision` relative bits at every possible root (see
     `_aberth_roots`).  converged says every root passed the backward-error
-    test at 2^-precision before the Newton polish.
+    test at 2^-precision before the Newton polish.  polish_steps counts the
+    Newton steps of the polish, each one p(z)/p'(z) in that fixed point:
+    at most 4 per root, fewer where a step is 0; it takes no part in
+    equality.
     """
 
     degree: int
@@ -78,6 +81,7 @@ class SolveDiagnostics:
     mp_sweeps: int
     converged: bool
     precision: int
+    polish_steps: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -176,9 +180,15 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
 
 
 def _sign_at(p: IntPolynomial, point: Fraction) -> int:
-    """Exact sign of p(point) via homogeneous integer Horner; the powers of
-    a power-of-two denominator, as at every bisection point, are shifts."""
-    num, den = point.numerator, point.denominator
+    """Exact sign of p(point)."""
+    value = _scaled_value(p, point.numerator, point.denominator)
+    return (value > 0) - (value < 0)
+
+
+def _scaled_value(p: IntPolynomial, num: int, den: int) -> int:
+    """den^d * p(num/den) for den > 0 and d = deg p, exact: homogeneous
+    integer Horner, in which the powers of a power-of-two den, as at every
+    bisection point, are shifts."""
     acc = 0
     if den & (den - 1) == 0:
         s = den.bit_length() - 1
@@ -189,7 +199,7 @@ def _sign_at(p: IntPolynomial, point: Fraction) -> int:
         for c in reversed(p.coeffs):
             acc = acc * num + c * dpow
             dpow *= den
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
 def _variations(coeffs) -> int:
@@ -232,7 +242,8 @@ def real_roots_exact(p: IntPolynomial,
     The root 0 is split off exactly; the rest are the roots of the
     square-free part f of p / x^valuation, isolated by Descartes bisection
     on the dyadic grid of [-B, B], B = root_bound_pow2(f), split at 0 when
-    x divides p.  An isolating cell is bisected down to `width`.  The
+    x divides p.  An isolating cell is narrowed down to `width` by
+    quadratic interval refinement, which ends where bisection would.  The
     intervals are those of exact root counting on that grid: descending
     towards a root, the first cell of width <= `width` that holds no other
     root and has no root as an endpoint, or the bisection midpoint that is
@@ -358,17 +369,67 @@ def _halve(g: list[int]) -> list[int]:
 
 def _refine(square_free: IntPolynomial, lo: Fraction, hi: Fraction,
             width: Fraction) -> tuple[Fraction, Fraction]:
-    sign_lo = _sign_at(square_free, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s = _sign_at(square_free, mid)
-        if s == 0:
-            return (mid, mid)
-        if s * sign_lo < 0:
-            hi = mid
+    """Where bisecting the isolating cell (lo, hi) of a root r of
+    `square_free` down to `width` ends.  With h = (hi - lo)/2^k for the
+    least k that makes h <= width, that is (r, r) if r = lo + m*h for an
+    integer m, a midpoint on the way, and otherwise the cell
+    (lo + m*h, lo + (m+1)*h) around r.
+
+    Found by quadratic interval refinement (Abbott, ISSAC 2006) on the grid
+    lo + m*h, with the exact values at a common denominator: a secant
+    through the values at the ends of the current cell, rounded to one of
+    N + 1 evenly spaced grid points, and the sign there pick a subcell of
+    width 1/N of the cell, kept when the signs at its two ends differ.  N
+    starts at 4 and is squared on success; on failure it is replaced by
+    its square root and the cell is bisected.  Near a simple root the
+    secant's error shrinks quadratically, so a few evaluations replace the
+    one per halving of bisection.
+    """
+    k = 0
+    while (hi - lo) / (1 << k) > width:
+        k += 1
+    h = (hi - lo) / (1 << k)
+    den = math.lcm(lo.denominator, h.denominator)
+    base = lo.numerator * (den // lo.denominator)
+    unit = h.numerator * (den // h.denominator)
+    values = {}
+
+    def sign(m: int) -> int:  # of the value at lo + m*h
+        if m not in values:
+            values[m] = _scaled_value(square_free, base + m * unit, den)
+        return (values[m] > 0) - (values[m] < 0)
+
+    a, b = 0, 1 << k
+    sign_a = sign(a)
+    sign(b)
+    log_n = 2
+    while b - a > 1:
+        n = min(1 << log_n, b - a)
+        step = (b - a) // n
+        va, vb = values[a], values[b]
+        m = a + (2 * n * va + va - vb) // (2 * (va - vb)) * step  # the secant's
+        sign_m = sign(m)
+        if sign_m == 0:
+            return (lo + m * h,) * 2
+        other = m + step if sign_m == sign_a else m - step  # the subcell's other end
+        sign_other = sign(other)
+        if sign_other == 0:
+            return (lo + other * h,) * 2
+        if sign_other != sign_m:
+            a, b = min(m, other), max(m, other)
+            sign_a = sign(a)
+            log_n *= 2
+            continue
+        log_n = max(1, log_n // 2)
+        mid = (a + b) // 2
+        sign_mid = sign(mid)
+        if sign_mid == 0:
+            return (lo + mid * h,) * 2
+        if sign_mid == sign_a:
+            a = mid
         else:
-            lo = mid
-    return (lo, hi)
+            b = mid
+    return (lo + a * h, lo + b * h)
 
 
 def count_real_roots_in(p: IntPolynomial, a, b) -> int:
@@ -428,8 +489,16 @@ def integer_roots(p: IntPolynomial) -> list[int]:
 # -- complex roots (Aberth-Ehrlich) ---------------------------------------------
 
 
+def default_tol(precision: int) -> float:
+    """The residual tolerance used when none is given: 1e-20, or 2^(8 - p)
+    when that is larger, at a working precision p below 75 bits.  A root
+    rounded to p bits has a residual of order 2^-p, which 1e-20 rejects at
+    53 and at 64 bits."""
+    return max(DEFAULT_TOL, 2.0 ** (8 - precision))
+
+
 def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
-              tol: float = DEFAULT_TOL) -> RootSet:
+              tol: float | None = None) -> RootSet:
     """Every root of p: the x^k factor handled exactly, remaining roots by
     simultaneous iteration on each square-free factor, Newton-polished, with
     certified real data alongside.
@@ -438,7 +507,8 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
     the square-free factor it is a root of and z the returned root, rounded
     to the working precision.  It is evaluated in the solver's fixed point,
     whose error bound `_aberth_roots` states, and a residual above `tol`
-    raises ConvergenceError.  The iteration starts from Newton-polygon points
+    raises ConvergenceError; `tol` defaults to `default_tol(precision)`.
+    The iteration starts from Newton-polygon points
     computed from the integer coefficients, runs in double precision first
     and finishes at the working precision, all deterministically, so
     repeated runs give identical output.
@@ -447,6 +517,8 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
         raise ValueError("need a polynomial of degree >= 1")
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION}")
+    if tol is None:
+        tol = default_tol(precision)
     k0 = p.valuation
     cofactor = IntPolynomial(p.coeffs[k0:])
     complex_roots: list[ComplexRoot] = []
@@ -499,14 +571,15 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _aberth_sweeps(coeffs, roots: list, eps) -> tuple[int, bool]:
+def _aberth_sweeps(coeffs, roots: list, eps, evaluate) -> tuple[int, bool]:
     """Aberth-Ehrlich sweeps over `roots`, updated in place.
 
-    Generic over the scalar type, like `horner`: Python floats and complex
-    with eps = 2^-53, or `_Fixed` over integer coefficients with
-    eps = 2^-prec.  A root is frozen once it passes Bini's backward-error
-    test |p(z)| <= 4*d*eps*sum|c_i||z|^i, i.e. once it is an exact root of
-    a polynomial within rounding of p; the others keep moving, repelled by
+    Generic over the scalar type: Python floats and complex with
+    eps = 2^-53 and `evaluate` = `horner`, or `_Fixed` over integer
+    coefficients with eps = 2^-prec and `evaluate` = `_fixed_horner`.  A
+    root is frozen once it passes Bini's backward-error test
+    |p(z)| <= 4*d*eps*sum|c_i||z|^i, i.e. once it is an exact root of a
+    polynomial within rounding of p; the others keep moving, repelled by
     all.  Returns the sweeps run and whether every root was frozen.
     """
     d = len(coeffs) - 1
@@ -519,8 +592,8 @@ def _aberth_sweeps(coeffs, roots: list, eps) -> tuple[int, bool]:
             if frozen[j]:
                 continue
             z = roots[j]
-            pz = horner(coeffs, z)
-            if abs(pz) <= bound * horner(moduli, abs(z)):
+            pz = evaluate(coeffs, z)
+            if abs(pz) <= bound * evaluate(moduli, abs(z)):
                 frozen[j] = True
                 continue
             try:
@@ -528,7 +601,7 @@ def _aberth_sweeps(coeffs, roots: list, eps) -> tuple[int, bool]:
                 for i in range(d):
                     if i != j:
                         repulsion += 1 / (z - roots[i])
-                roots[j] = z - pz / (horner(dcoeffs, z) - pz * repulsion)
+                roots[j] = z - pz / (evaluate(dcoeffs, z) - pz * repulsion)
             except ZeroDivisionError:
                 # coincident iterates or a zero Aberth denominator
                 roots[j] = z + bound * (1 + abs(z))
@@ -541,12 +614,14 @@ class _Fixed:
     """The complex number (re + i*im) / 2^scale, for integers re and im: the
     scalar of the working-precision phase of `_aberth_roots`.
 
-    It has what `horner` and `_aberth_sweeps` use: +, -, * and / between
-    two `_Fixed`, + and * with an int on either side, int / `_Fixed`, abs
-    (a real `_Fixed`) and <= (between the real parts, for moduli).  A
-    product or quotient of two `_Fixed` is floored to a multiple of
-    2^-scale, so it is off by less than sqrt(2)*2^-scale; the rest is
-    exact.  Every operand shares one scale.
+    It has what `_aberth_sweeps`, the Newton polish and `horner` use: +, -,
+    * and / between two `_Fixed`, + and * with an int on either side, int /
+    `_Fixed`, abs (a real `_Fixed`) and <= (between the real parts, for
+    moduli).  A product or quotient of two `_Fixed` is floored to a
+    multiple of 2^-scale, so it is off by less than sqrt(2)*2^-scale; the
+    rest is exact.  Every operand shares one scale.  The solver evaluates
+    polynomials by `_fixed_horner`, which applies the floors of `horner`
+    over `_Fixed` without an object per operation.
     """
 
     __slots__ = ("re", "im", "scale")
@@ -597,6 +672,19 @@ class _Fixed:
         return self.re <= other.re
 
 
+def _fixed_horner(coeffs, z: _Fixed) -> _Fixed:
+    """Value at z of the polynomial with low-to-high integer `coeffs`: Horner's
+    rule over z's integers.  Each step floors the product of the
+    accumulator and z to a multiple of 2^-scale, as `_Fixed` * `_Fixed`
+    does, and adds the coefficient exactly, so the value equals `horner`
+    over `_Fixed` bit for bit without an object per operation."""
+    zr, zi, s = z.re, z.im, z.scale
+    ar = ai = 0
+    for c in reversed(coeffs):
+        ar, ai = ((ar * zr - ai * zi) >> s) + (c << s), (ar * zi + ai * zr) >> s
+    return _Fixed(ar, ai, s)
+
+
 def _float_phase(coeffs: tuple[int, ...]) -> tuple[int, list | None]:
     """Double-precision Aberth iterates from the Newton-polygon starts, and
     the sweeps they took; None when a coefficient or an iterate is not a
@@ -604,7 +692,7 @@ def _float_phase(coeffs: tuple[int, ...]) -> tuple[int, list | None]:
     try:
         fcoeffs = [float(c) for c in coeffs]
         roots = _newton_polygon_starts(coeffs, math.exp, cmath.rect)
-        sweeps, _ = _aberth_sweeps(fcoeffs, roots, 2.0 ** -53)
+        sweeps, _ = _aberth_sweeps(fcoeffs, roots, 2.0 ** -53, horner)
     except OverflowError:
         return 0, None
     if not all(cmath.isfinite(z) for z in roots):
@@ -622,8 +710,11 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float
     iterates, then need only a few more.  Those sweeps, the Newton polish
     and the residuals run on `_Fixed` with P = prec + w + bitlen(d) + 8
     fractional bits, w the widest coefficient's bit length, over the
-    integer coefficients; mpmath only converts the starts in and rounds the
-    roots out to prec bits.
+    integer coefficients, and every polynomial value in them comes from
+    `_fixed_horner`; mpmath only converts the starts in and rounds the
+    roots out to prec bits.  The polish takes up to 4 Newton steps per
+    root and stops at a step that is 0 on the grid, after which z could
+    not move.
 
     Every root has |z| >= 2^-(w+1), since |c_0| >= 1 and |c_i| < 2^w, so
     each iterate near a root keeps at least prec relative bits.  One Horner
@@ -653,31 +744,39 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float
     with mpmath.workprec(prec):
         if d == 1:
             roots = [mpmath.mpc(-mpmath.mpf(f.coeffs[0]) / f.coeffs[1])]
-            diagnostics = SolveDiagnostics(d, 0, 0, True, prec)
+            diagnostics = SolveDiagnostics(d, 0, 0, True, prec, 0)
         else:
             float_sweeps, starts = _float_phase(f.coeffs)
             if starts is None:
                 starts = _newton_polygon_starts(f.coeffs, mpmath.exp, mpmath.rect)
             grid = [_Fixed(fixed(z.real), fixed(z.imag), scale) for z in starts]
             mp_sweeps, converged = _aberth_sweeps(
-                f.coeffs, grid, _Fixed(1 << (scale - prec), 0, scale))
-            # Newton polish at full precision
+                f.coeffs, grid, _Fixed(1 << (scale - prec), 0, scale), _fixed_horner)
+            # Newton polish at full precision, up to 4 steps per root; a step
+            # that is 0 on the grid would repeat itself, so it ends the polish
             dcoeffs = f.derivative().coeffs
-            for j in range(d):
+            polish_steps = 0
+            for j, z in enumerate(grid):
                 for _ in range(4):
                     try:
-                        grid[j] -= horner(f.coeffs, grid[j]) / horner(dcoeffs, grid[j])
+                        step = _fixed_horner(f.coeffs, z) / _fixed_horner(dcoeffs, z)
                     except ZeroDivisionError:
                         break
+                    polish_steps += 1
+                    if not (step.re or step.im):
+                        break
+                    z -= step
+                grid[j] = z
             roots = [mpmath.mpc(mpmath.mpf((z.re, -scale)), mpmath.mpf((z.im, -scale)))
                      for z in grid]
-            diagnostics = SolveDiagnostics(d, float_sweeps, mp_sweeps, converged, prec)
+            diagnostics = SolveDiagnostics(d, float_sweeps, mp_sweeps, converged, prec,
+                                           polish_steps)
         keys = [(fixed(z.real), abs(fixed(z.imag))) for z in roots]
     norm = max(abs(c) for c in f.coeffs)
     residuals = {}
     for re, im in set(keys):  # |f(z)| / (max|c_i| * max(1, |z|)^d) on the grid
         z = _Fixed(re, im, scale)
-        residuals[re, im] = ((abs(horner(f.coeffs, z)).re << (scale * (d - 1)))
+        residuals[re, im] = ((abs(_fixed_horner(f.coeffs, z)).re << (scale * (d - 1)))
                              / (norm * max(1 << scale, abs(z).re) ** d))
     found = [(z, residuals[key]) for z, key in zip(roots, keys)]
     worst = max(residuals.values())

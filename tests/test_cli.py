@@ -361,10 +361,10 @@ def test_roots_printed_residuals_within_tol(capsys, spec, precision):
     assert all(float(r["residual"]) <= tol for r in entry["complex_roots"])
 
 
-def test_roots_friendship_5_at_53_bits_misses_default_tol(capsys):
+def test_roots_friendship_5_at_53_bits_misses_tol_1e_20(capsys):
     # rounded to 53 bits, its roots leave residuals up to about 1e-18
     code, out, err = run(capsys, "roots", "--family", "friendship:5",
-                         "--precision", "53", "--format", "csv")
+                         "--precision", "53", "--tol", "1e-20", "--format", "csv")
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -373,6 +373,41 @@ def test_roots_friendship_5_at_53_bits_misses_default_tol(capsys):
     assert code == EXIT_OK
     residuals = [float(row[2]) for row in list(csv.reader(io.StringIO(out)))[1:]]
     assert max(residuals) <= 1e-15
+
+
+SMALL_MEMBERS = ([f"{kind}:{n}" for kind in ("friendship", "book", "book-contracted")
+                  for n in range(1, 13)]
+                 + [f"{kind}:{n}" for kind in ("cycle", "path", "star", "complete")
+                    for n in range(3, 21)])
+
+
+@pytest.mark.parametrize("precision, tol", [("53", 2.0 ** -45), ("64", 2.0 ** -56)])
+def test_default_tol_follows_precision(capsys, precision, tol):
+    """Below 75 bits the default --tol is 2^(8 - precision), which every
+    small member meets: at 53 bits the worst residual is about 2.3e-17
+    (star:5), at 64 bits about 1.2e-20 (path:3), above 1e-20."""
+    for spec in SMALL_MEMBERS:
+        code, out, _ = run(capsys, "roots", "--family", spec,
+                           "--precision", precision, "--format", "json")
+        assert code == EXIT_OK, spec
+        (entry,) = json.loads(out)
+        assert float(entry["tolerance"]) == tol
+
+
+@pytest.mark.parametrize("precision, tol", [("53", "2.842170943040401e-14"),
+                                            ("74", "1.3552527156068805e-20"),
+                                            ("75", "1e-20"), ("256", "1e-20")])
+def test_roots_and_limits_share_the_default_tol(capsys, tmp_path, precision, tol):
+    code, out, _ = run(capsys, "roots", "--family", "friendship:4",
+                       "--precision", precision, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)[0]["tolerance"] == tol
+    code, _, _ = run(capsys, "limits", "--family", "friendship", "--n-max", "2",
+                     "--precision", precision, "--samples", "5",
+                     "--export", "json", "--output-dir", str(tmp_path))
+    assert code == EXIT_OK
+    payload = json.loads((tmp_path / "friendship_limits.json").read_text())
+    assert payload["tolerance"] == tol
 
 
 @pytest.mark.parametrize("spec", ["friendship:7", "book:6", "cycle:11", "star:9"])

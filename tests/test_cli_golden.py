@@ -35,6 +35,7 @@ CASES = {
                         "--precision", "128"],
     "roots_graph6_csv": ["roots", "--graph6", "Cl", "--format", "csv"],
     "roots_real_only": ["roots", "--family", "friendship:6", "--real-only"],
+    "roots_star15_json": ["roots", "--family", "star:15", "--format", "json"],
     "limits_text": ["limits", "--family", "friendship", "--n-max", "4",
                     "--precision", "128"],
     "limits_trace_csv": ["limits", "--family", "friendship", "--n-max", "2",

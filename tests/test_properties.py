@@ -2,8 +2,9 @@
 low/high split against an enumeration oracle, the graph6 codec,
 exact division, the heuristic gcd, Taylor shifts, square-free
 decomposition, Horner evaluation (exact, and in the solver's fixed point
-against its error bound) and real-root isolation (against a Sturm count and
-against constructed real roots), on inputs drawn by hypothesis.
+against Horner over `_Fixed` and against its error bound) and real-root
+isolation (against a Sturm count and against constructed real roots), on
+inputs drawn by hypothesis.
 
 Examples are derandomized so every run draws the same inputs."""
 
@@ -33,6 +34,9 @@ from dompoly.polynomials import (
 )
 from dompoly.roots import (
     _Fixed,
+    _fixed_horner,
+    _isolate,
+    _refine,
     _sign_at,
     count_real_roots_in,
     real_roots_exact,
@@ -175,24 +179,45 @@ def test_horner_matches_power_sum_and_sign(p, r):
     assert _sign_at(p, r) == (value > 0) - (value < 0)
 
 
+@st.composite
+def fixed_point_cases(draw):
+    """(coeffs, prec, P, a, b): a polynomial, a working precision, the
+    solver's scale P for them, and a point z = (a + ib)/2^P near the least
+    root modulus 2^-(w+1), near the unit circle or far outside it."""
+    coeffs = draw(st.lists(st.integers(-2 ** 200, 2 ** 200), min_size=2, max_size=31)
+                  .filter(lambda c: c[0] and c[-1]))
+    prec = draw(st.integers(53, 300))
+    d = len(coeffs) - 1
+    w = max(abs(c).bit_length() for c in coeffs)
+    scale = prec + w + d.bit_length() + 8  # as in `_aberth_roots`
+    e = draw(st.one_of(st.integers(-w - 2, -w), st.integers(-1, 1),
+                       st.integers(8, 80)))
+    part = st.integers(-(1 << (scale + e)), 1 << (scale + e))
+    return coeffs, prec, scale, draw(part), draw(part)
+
+
 @deterministic
-@given(st.lists(st.integers(-2 ** 200, 2 ** 200), min_size=2, max_size=31)
-       .filter(lambda c: c[0] and c[-1]),
-       st.integers(53, 300), st.data())
-def test_fixed_point_horner_within_its_error_bound(coeffs, prec, data):
-    """Horner's rule on `_Fixed` at the solver's scale P is off by at most
+@given(fixed_point_cases())
+def test_fixed_point_kernel_equals_horner_over_fixed(case):
+    """The solver's integer kernel applies exactly the floors of Horner's
+    rule over `_Fixed`, so every value it returns is the same, bit for bit."""
+    coeffs, _, scale, a, b = case
+    for z in (_Fixed(a, b, scale), _Fixed(abs(a), 0, scale)):
+        kernel, generic = _fixed_horner(coeffs, z), horner(coeffs, z)
+        assert (kernel.re, kernel.im, kernel.scale) == (generic.re, generic.im, scale)
+
+
+@deterministic
+@given(fixed_point_cases())
+def test_fixed_point_horner_within_its_error_bound(case):
+    """The solver's fixed-point Horner kernel at scale P is off by at most
     2*(d+1)*2^-P*max(1,|z|)^d, and so by under 2^-prec*sum|c_i||z|^i / 8,
     at points near the least root modulus 2^-(w+1), near the unit circle
     and far outside it.  z = (a + ib)/2^P is a dyadic point, so
     p(z)*2^(P*d) is exact in the Gaussian integers."""
+    coeffs, prec, scale, a, b = case
     d = len(coeffs) - 1
-    w = max(abs(c).bit_length() for c in coeffs)
-    scale = prec + w + d.bit_length() + 8  # as in `_aberth_roots`
-    e = data.draw(st.one_of(st.integers(-w - 2, -w), st.integers(-1, 1),
-                            st.integers(8, 80)))
-    part = st.integers(-(1 << (scale + e)), 1 << (scale + e))
-    a, b = data.draw(part), data.draw(part)
-    value = horner(coeffs, _Fixed(a, b, scale))
+    value = _fixed_horner(coeffs, _Fixed(a, b, scale))
     # Horner's rule over the Gaussian integers, c_i lifted by 2^(P*(d-i))
     exact_re = exact_im = 0
     for i, c in enumerate(reversed(coeffs)):
@@ -314,6 +339,45 @@ def roots_near_complex_pairs(draw):
        st.sampled_from([Fraction(1, 2 ** 40), Fraction(1, 2 ** 10), Fraction(4)]))
 def test_isolation_equals_sturm_bisection(p, width):
     assert real_roots_exact(p, width) == sturm_isolation(p, width)
+
+
+def bisection_refine(f, lo, hi, width):
+    """Halve the isolating cell (lo, hi) of a root of f down to `width`, one
+    exact sign per halving: what `_refine` must return."""
+    sign_lo = _sign_at(f, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s = _sign_at(f, mid)
+        if s == 0:
+            return (mid, mid)
+        lo, hi = (lo, mid) if s != sign_lo else (mid, hi)
+    return (lo, hi)
+
+
+@st.composite
+def planted_roots(draw):
+    """Products of (2^e*x - a), real roots on dyadic grids as fine as 2^-50
+    that a refinement may hit exactly, with (q*x - a) for odd q and
+    x^2 - c, whose roots it never hits."""
+    p = P([draw(st.integers(1, 5))])
+    for _ in range(draw(st.integers(1, 4))):
+        e = draw(st.integers(0, 50))
+        p = p * P([-draw(st.integers(-2 ** (e + 3), 2 ** (e + 3))), 1 << e])
+    if draw(st.booleans()):
+        p = p * P([-draw(st.integers(-99, 99)), draw(st.sampled_from([3, 5, 7, 9]))])
+    if draw(st.booleans()):
+        p = p * P([-draw(st.integers(2, 99)), 0, 1])
+    return p
+
+
+@deterministic
+@given(planted_roots(),
+       st.sampled_from([Fraction(1, 2 ** 40), Fraction(1, 2 ** 10), Fraction(1, 2),
+                        Fraction(4)]))
+def test_refinement_equals_bisection(p, width):
+    f, _, cells, _, _ = _isolate(p)
+    for lo, hi in cells:
+        assert _refine(f, lo, hi, width) == bisection_refine(f, lo, hi, width)
 
 
 @deterministic

@@ -17,10 +17,12 @@ from dompoly.domination import corona_poly, family_poly
 from dompoly.graphs import FamilySpec
 from dompoly.polynomials import ONE, X, IntPolynomial
 from dompoly.roots import (
+    ConvergenceError,
     _aberth_roots,
     _newton_polygon_starts,
     all_roots,
     count_real_roots_in,
+    default_tol,
     integer_roots,
     real_roots_exact,
     root_bound_pow2,
@@ -320,6 +322,40 @@ def test_all_roots_diagnostics():
                for d in all_roots(friendship(9)).diagnostics)
     # diagnostics take no part in equality
     assert dataclasses.replace(rs, diagnostics=()) == rs
+    # the sweeps are those of Horner's rule over `_Fixed` objects, which the
+    # integer kernel reproduces bit for bit (CPython 3.11, x86-64); the
+    # polish stops at a zero step, so it takes fewer than 4 steps per root
+    (diag,) = all_roots(friendship(9)).diagnostics
+    assert (diag.degree, diag.float_sweeps, diag.mp_sweeps, diag.converged) == (18, 12, 4, True)
+    assert diag.degree <= diag.polish_steps < 4 * diag.degree
+    assert dataclasses.replace(diag, polish_steps=0) == diag
+
+
+def test_all_roots_default_tol_follows_precision():
+    assert default_tol(53) == 2.0 ** -45 and default_tol(74) == 2.0 ** -66
+    assert default_tol(75) == default_tol(256) == 1e-20
+    rs = all_roots(friendship(5), 53)
+    assert max(r.residual for r in rs.complex_roots) <= default_tol(53)
+    with pytest.raises(ConvergenceError):
+        all_roots(friendship(5), 53, 1e-20)
+
+
+def test_refinement_evaluations_per_root(monkeypatch):
+    """Quadratic interval refinement brings each of the 27 isolating cells
+    of cycle:150 down to 2^-40 in about 12 exact evaluations, where bisection
+    took one per halving, about 34 per root."""
+    calls = []
+    original = dompoly.roots._scaled_value
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(dompoly.roots, "_scaled_value", counting)
+    intervals = real_roots_exact(family_poly(FamilySpec("cycle", 150)))
+    assert len(intervals) == 27
+    assert all(hi - lo <= Fraction(1, 2 ** 40) for lo, hi in intervals)
+    assert len(calls) <= 16 * len(intervals)
 
 
 def test_all_roots_wilkinson():
