@@ -48,7 +48,13 @@ from .limits import (
     book_limit_curve,
     friendship_limit_curve,
 )
-from .polynomials import DEFAULT_PRECISION, MIN_PRECISION, IntPolynomial, terms_text
+from .polynomials import (
+    DEFAULT_PRECISION,
+    MIN_PRECISION,
+    IntPolynomial,
+    _unlimited_int_digits,
+    terms_text,
+)
 from .roots import (
     ConvergenceError,
     RootSet,
@@ -216,13 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # exact coefficients print at any size; the caller's limit comes back
-    saved = (sys.get_int_max_str_digits()
-             if hasattr(sys, "set_int_max_str_digits") else None)
-    if saved is not None:
-        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        with _unlimited_int_digits():  # exact coefficients print at any size
+            return args.func(args)
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -232,9 +234,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    finally:
-        if saved is not None:
-            sys.set_int_max_str_digits(saved)
 
 
 def _emit(args, text: str) -> None:

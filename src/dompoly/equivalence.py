@@ -161,26 +161,6 @@ def verify_friendship_not_unique(n: int) -> NonUniquenessWitness:
         n=n, polynomial=p_f, friendship=f, book_contracted=bc, certificate=cert)
 
 
-def is_d_unique_within(g: Graph, catalog: list[Graph],
-                       ids: list[str] | None = None) -> tuple[bool, list[str]]:
-    """True iff no other catalog member shares g's polynomial.
-
-    The verdict is only as meaningful as the catalog: equal polynomials force
-    equal orders, so the catalog should contain all graphs of g's order.
-    Returns the identifiers of the polynomial twins found.
-    """
-    if ids is None:
-        ids = [write_graph6(other) for other in catalog]
-    target = brute_force_poly(g)
-    witnesses = []
-    for gid, other in zip(ids, catalog):
-        if other == g:
-            continue
-        if brute_force_poly(other) == target:
-            witnesses.append(gid)
-    return (not witnesses, witnesses)
-
-
 def bundled_catalog_text(order: int) -> str:
     """Raw text of the bundled catalog of all graphs of the given order."""
     if order not in BUNDLED_ORDERS:

@@ -244,7 +244,7 @@ def bkw_limit_points(family: ExponentialFamily, grid: GridRegion | None = None,
 class _SplitComplex:
     """Complex numbers re + i*im held as two float64 arrays (or scalars that
     broadcast against them): the point type `bkw_limit_points` hands to
-    `horner`, as `roots._Fixed` is for the solver.
+    `horner`, so that one Horner loop evaluates a whole grid of points.
 
     It has what `horner` and the tracer use: * between two of them, * and +
     with an int, and abs, which is np.hypot (the libm hypot that CPython's

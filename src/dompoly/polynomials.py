@@ -13,6 +13,8 @@ scale while the interesting roots sit near the unit circle.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -23,6 +25,22 @@ MIN_PRECISION = 53
 _HEURISTIC_GCD_TRIES = 4
 
 Scalar = Union[int, Fraction]
+
+
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on the digits of an int/str conversion (4300 by
+    default, from 3.10.7 on) for the body of the `with`, and put the
+    caller's limit back after it: exact coefficients convert at any size."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10.0 to 3.10.6
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class IntPolynomial:
@@ -65,7 +83,8 @@ class IntPolynomial:
         if not text:
             return cls()
         try:
-            return cls(int(part.strip()) for part in text.split(","))
+            with _unlimited_int_digits():
+                return cls(int(part.strip()) for part in text.split(","))
         except ValueError as exc:
             raise ValueError(f"malformed coefficient list: {text!r}") from exc
 
@@ -110,7 +129,8 @@ class IntPolynomial:
         return hash(("IntPolynomial", self.coeffs))
 
     def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)!r})"
+        with _unlimited_int_digits():
+            return f"IntPolynomial({list(self.coeffs)!r})"
 
     # -- ring operations -----------------------------------------------
 
@@ -200,7 +220,10 @@ class IntPolynomial:
         """Horner evaluation at a complex point, at `precision` bits.
 
         Coefficients wider than the working precision raise it so the
-        conversion stays exact.
+        conversion stays exact.  Nothing in the package calls it, since the
+        solver evaluates in its own fixed point; it stays as the public
+        evaluator at a point of the user's choosing, which the tests use and
+        the benchmark's tracer looks up by name.
         """
         prec = _working_precision(self, precision)
         with mpmath.workprec(prec):
@@ -240,10 +263,12 @@ class IntPolynomial:
 
     def to_coeff_string(self) -> str:
         """Decimal coefficients low-to-high, comma-separated ('' for zero)."""
-        return ",".join(str(c) for c in self.coeffs)
+        with _unlimited_int_digits():
+            return ",".join(str(c) for c in self.coeffs)
 
     def __str__(self) -> str:
-        return terms_text(self.coeffs, [str(c) for c in self.coeffs])
+        with _unlimited_int_digits():
+            return terms_text(self.coeffs, [str(c) for c in self.coeffs])
 
 
 def terms_text(coeffs, digits) -> str:

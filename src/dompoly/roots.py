@@ -6,10 +6,10 @@ Exactness split: anything feeding a count ("how many real roots", "is -2 a
 root") goes through integer/rational arithmetic and is certified; complex
 root positions come from a simultaneous-iteration solver and carry a
 normalized residual bound instead.  The solver runs in doubles, then at the
-working precision in fixed point over Python integers; mpmath holds the
-roots it returns.  A root's residual is that of its square-free factor at
-the returned root, evaluated in the same fixed point: the one value that
-the tolerance gates and the CLI prints.
+working precision in fixed point, on (re, im) pairs of Python integers;
+mpmath holds the roots it returns.  A root's residual is that of its
+square-free factor at the returned root, evaluated in the same fixed
+point: the one value that the tolerance gates and the CLI prints.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ class SolveDiagnostics:
 
     float_sweeps counts the double-precision Aberth sweeps whose iterates
     seeded the multiprecision phase (0 when that phase was skipped);
-    mp_sweeps counts the sweeps of that phase, run in a fixed point fine
-    enough to keep `precision` relative bits at every possible root (see
+    mp_sweeps counts the sweeps of that phase, run on integer pairs in a
+    fixed point fine enough to keep `precision` relative bits at every
+    possible root, each product and quotient floored part by part (see
     `_aberth_roots`).  converged says every root passed the backward-error
     test at 2^-precision before the Newton polish.  polish_steps counts the
     Newton steps of the polish, each one p(z)/p'(z) in that fixed point:
@@ -571,29 +572,26 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _aberth_sweeps(coeffs, roots: list, eps, evaluate) -> tuple[int, bool]:
-    """Aberth-Ehrlich sweeps over `roots`, updated in place.
-
-    Generic over the scalar type: Python floats and complex with
-    eps = 2^-53 and `evaluate` = `horner`, or `_Fixed` over integer
-    coefficients with eps = 2^-prec and `evaluate` = `_fixed_horner`.  A
-    root is frozen once it passes Bini's backward-error test
-    |p(z)| <= 4*d*eps*sum|c_i||z|^i, i.e. once it is an exact root of a
-    polynomial within rounding of p; the others keep moving, repelled by
-    all.  Returns the sweeps run and whether every root was frozen.
+def _aberth_sweeps(coeffs, roots: list) -> tuple[int, bool]:
+    """Aberth-Ehrlich sweeps in double precision over `roots`, updated in
+    place.  A root is frozen once it passes Bini's backward-error test
+    |p(z)| <= 4*d*eps*sum|c_i||z|^i with eps = 2^-53, i.e. once it is an
+    exact root of a polynomial within rounding of p; the others keep moving,
+    repelled by all.  Returns the sweeps run and whether every root was
+    frozen.  `_fixed_sweeps` is the same loop at the working precision.
     """
     d = len(coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     moduli = [abs(c) for c in coeffs]
-    bound = 4 * d * eps
+    bound = 4 * d * 2.0 ** -53
     frozen = [False] * d
     for sweep in range(1, _MAX_SWEEPS + 1):
         for j in range(d):
             if frozen[j]:
                 continue
             z = roots[j]
-            pz = evaluate(coeffs, z)
-            if abs(pz) <= bound * evaluate(moduli, abs(z)):
+            pz = horner(coeffs, z)
+            if abs(pz) <= bound * horner(moduli, abs(z)):
                 frozen[j] = True
                 continue
             try:
@@ -601,7 +599,7 @@ def _aberth_sweeps(coeffs, roots: list, eps, evaluate) -> tuple[int, bool]:
                 for i in range(d):
                     if i != j:
                         repulsion += 1 / (z - roots[i])
-                roots[j] = z - pz / (evaluate(dcoeffs, z) - pz * repulsion)
+                roots[j] = z - pz / (horner(dcoeffs, z) - pz * repulsion)
             except ZeroDivisionError:
                 # coincident iterates or a zero Aberth denominator
                 roots[j] = z + bound * (1 + abs(z))
@@ -610,79 +608,66 @@ def _aberth_sweeps(coeffs, roots: list, eps, evaluate) -> tuple[int, bool]:
     return _MAX_SWEEPS, False
 
 
-class _Fixed:
-    """The complex number (re + i*im) / 2^scale, for integers re and im: the
-    scalar of the working-precision phase of `_aberth_roots`.
-
-    It has what `_aberth_sweeps`, the Newton polish and `horner` use: +, -,
-    * and / between two `_Fixed`, + and * with an int on either side, int /
-    `_Fixed`, abs (a real `_Fixed`) and <= (between the real parts, for
-    moduli).  A product or quotient of two `_Fixed` is floored to a
-    multiple of 2^-scale, so it is off by less than sqrt(2)*2^-scale; the
-    rest is exact.  Every operand shares one scale.  The solver evaluates
-    polynomials by `_fixed_horner`, which applies the floors of `horner`
-    over `_Fixed` without an object per operation.
-    """
-
-    __slots__ = ("re", "im", "scale")
-
-    def __init__(self, re: int, im: int, scale: int):
-        self.re = re
-        self.im = im
-        self.scale = scale
-
-    def __add__(self, other):
-        if isinstance(other, _Fixed):
-            return _Fixed(self.re + other.re, self.im + other.im, self.scale)
-        return _Fixed(self.re + (other << self.scale), self.im, self.scale)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _Fixed(self.re - other.re, self.im - other.im, self.scale)
-
-    def __mul__(self, other):
-        s = self.scale
-        if isinstance(other, _Fixed):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return _Fixed((a * c - b * d) >> s, (a * d + b * c) >> s, s)
-        return _Fixed(self.re * other, self.im * other, s)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        s = self.scale
-        a, b, c, d = self.re, self.im, other.re, other.im
-        norm = c * c + d * d
-        return _Fixed(((a * c + b * d) << s) // norm,
-                      ((b * c - a * d) << s) // norm, s)
-
-    def __rtruediv__(self, other: int):
-        s = self.scale
-        c, d = self.re, self.im
-        num = other << (2 * s)
-        norm = c * c + d * d
-        return _Fixed(num * c // norm, -num * d // norm, s)
-
-    def __abs__(self):
-        return _Fixed(math.isqrt(self.re * self.re + self.im * self.im), 0,
-                      self.scale)
-
-    def __le__(self, other) -> bool:
-        return self.re <= other.re
+def _fixed_sweeps(coeffs, roots: list, prec: int, s: int) -> tuple[int, bool]:
+    """`_aberth_sweeps` with eps = 2^-prec over pairs (re, im) of integers,
+    the points (re + i*im)/2^s, and the integer `coeffs`; `roots` is
+    updated in place.  Moduli are floored square roots, and every product
+    or quotient of two points is floored to a multiple of 2^-s, part by
+    part; sums are exact."""
+    d = len(coeffs) - 1
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    moduli = [abs(c) for c in coeffs]
+    bound = 4 * d << (s - prec)  # 4*d*eps at scale s
+    one, unit = 1 << s, 1 << (2 * s)
+    frozen = [False] * d
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        for j in range(d):
+            if frozen[j]:
+                continue
+            zr, zi = roots[j]
+            pr, pi = _fixed_horner(coeffs, zr, zi, s)
+            size = math.isqrt(zr * zr + zi * zi)
+            threshold = bound * _fixed_horner(moduli, size, 0, s)[0] >> s
+            if math.isqrt(pr * pr + pi * pi) <= threshold:
+                frozen[j] = True
+                continue
+            try:
+                rr = ri = 0  # the repulsion, sum 1/(z - z_i)
+                for i, (xr, xi) in enumerate(roots):
+                    if i != j:
+                        cr, ci = zr - xr, zi - xi
+                        norm = cr * cr + ci * ci
+                        rr += unit * cr // norm
+                        ri += -unit * ci // norm
+                dr, di = _fixed_horner(dcoeffs, zr, zi, s)
+                qr, qi = _fixed_div(pr, pi, dr - ((pr * rr - pi * ri) >> s),
+                                    di - ((pr * ri + pi * rr) >> s), s)
+                roots[j] = zr - qr, zi - qi
+            except ZeroDivisionError:
+                # coincident iterates or a zero Aberth denominator
+                roots[j] = zr + (bound * (size + one) >> s), zi
+        if all(frozen):
+            return sweep, True
+    return _MAX_SWEEPS, False
 
 
-def _fixed_horner(coeffs, z: _Fixed) -> _Fixed:
-    """Value at z of the polynomial with low-to-high integer `coeffs`: Horner's
-    rule over z's integers.  Each step floors the product of the
-    accumulator and z to a multiple of 2^-scale, as `_Fixed` * `_Fixed`
-    does, and adds the coefficient exactly, so the value equals `horner`
-    over `_Fixed` bit for bit without an object per operation."""
-    zr, zi, s = z.re, z.im, z.scale
+def _fixed_horner(coeffs, zr: int, zi: int, s: int) -> tuple[int, int]:
+    """Value at z = (zr + i*zi)/2^s of the polynomial with low-to-high
+    integer `coeffs`, as a pair at scale s: Horner's rule over the integers.
+    Each step floors the parts of the product of the accumulator and z to
+    multiples of 2^-s and adds the coefficient exactly."""
     ar = ai = 0
     for c in reversed(coeffs):
         ar, ai = ((ar * zr - ai * zi) >> s) + (c << s), (ar * zi + ai * zr) >> s
-    return _Fixed(ar, ai, s)
+    return ar, ai
+
+
+def _fixed_div(ar: int, ai: int, br: int, bi: int, s: int) -> tuple[int, int]:
+    """The quotient of the points (ar + i*ai)/2^s and (br + i*bi)/2^s as a
+    pair at scale s, each part floored; ZeroDivisionError when the divisor
+    is 0."""
+    norm = br * br + bi * bi
+    return ((ar * br + ai * bi) << s) // norm, ((ai * br - ar * bi) << s) // norm
 
 
 def _float_phase(coeffs: tuple[int, ...]) -> tuple[int, list | None]:
@@ -692,7 +677,7 @@ def _float_phase(coeffs: tuple[int, ...]) -> tuple[int, list | None]:
     try:
         fcoeffs = [float(c) for c in coeffs]
         roots = _newton_polygon_starts(coeffs, math.exp, cmath.rect)
-        sweeps, _ = _aberth_sweeps(fcoeffs, roots, 2.0 ** -53, horner)
+        sweeps, _ = _aberth_sweeps(fcoeffs, roots)
     except OverflowError:
         return 0, None
     if not all(cmath.isfinite(z) for z in roots):
@@ -707,14 +692,17 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float
 
     Cheap double-precision sweeps bring the roots close (MPSolve's
     strategy); sweeps at the working precision prec, started from those
-    iterates, then need only a few more.  Those sweeps, the Newton polish
-    and the residuals run on `_Fixed` with P = prec + w + bitlen(d) + 8
-    fractional bits, w the widest coefficient's bit length, over the
-    integer coefficients, and every polynomial value in them comes from
-    `_fixed_horner`; mpmath only converts the starts in and rounds the
-    roots out to prec bits.  The polish takes up to 4 Newton steps per
-    root and stops at a step that is 0 on the grid, after which z could
-    not move.
+    iterates, then need only a few more.  Those sweeps (`_fixed_sweeps`),
+    the Newton polish and the residuals run on pairs (re, im) of integers,
+    the grid points (re + i*im)/2^P with P = prec + w + bitlen(d) + 8, w the
+    widest coefficient's bit length, over the integer coefficients; mpmath
+    only converts the starts in and rounds the roots out to prec bits.  On
+    the grid a sum is exact, a modulus is a floored square root, and a
+    product or quotient of two points, in `_fixed_horner`, `_fixed_div` and
+    the repulsion sum, floors each part to a multiple of 2^-P, so it is off
+    by less than sqrt(2)*2^-P.  The polish takes up to 4 Newton steps per
+    root, each p(z)/p'(z) by `_fixed_div`, and stops at a step that is 0 on
+    the grid, after which z could not move.
 
     Every root has |z| >= 2^-(w+1), since |c_0| >= 1 and |c_i| < 2^w, so
     each iterate near a root keeps at least prec relative bits.  One Horner
@@ -749,35 +737,36 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float
             float_sweeps, starts = _float_phase(f.coeffs)
             if starts is None:
                 starts = _newton_polygon_starts(f.coeffs, mpmath.exp, mpmath.rect)
-            grid = [_Fixed(fixed(z.real), fixed(z.imag), scale) for z in starts]
-            mp_sweeps, converged = _aberth_sweeps(
-                f.coeffs, grid, _Fixed(1 << (scale - prec), 0, scale), _fixed_horner)
+            grid = [(fixed(z.real), fixed(z.imag)) for z in starts]
+            mp_sweeps, converged = _fixed_sweeps(f.coeffs, grid, prec, scale)
             # Newton polish at full precision, up to 4 steps per root; a step
             # that is 0 on the grid would repeat itself, so it ends the polish
             dcoeffs = f.derivative().coeffs
             polish_steps = 0
-            for j, z in enumerate(grid):
+            for j, (zr, zi) in enumerate(grid):
                 for _ in range(4):
                     try:
-                        step = _fixed_horner(f.coeffs, z) / _fixed_horner(dcoeffs, z)
+                        qr, qi = _fixed_div(*_fixed_horner(f.coeffs, zr, zi, scale),
+                                            *_fixed_horner(dcoeffs, zr, zi, scale), scale)
                     except ZeroDivisionError:
                         break
                     polish_steps += 1
-                    if not (step.re or step.im):
+                    if not (qr or qi):
                         break
-                    z -= step
-                grid[j] = z
-            roots = [mpmath.mpc(mpmath.mpf((z.re, -scale)), mpmath.mpf((z.im, -scale)))
-                     for z in grid]
+                    zr, zi = zr - qr, zi - qi
+                grid[j] = zr, zi
+            roots = [mpmath.mpc(mpmath.mpf((zr, -scale)), mpmath.mpf((zi, -scale)))
+                     for zr, zi in grid]
             diagnostics = SolveDiagnostics(d, float_sweeps, mp_sweeps, converged, prec,
                                            polish_steps)
         keys = [(fixed(z.real), abs(fixed(z.imag))) for z in roots]
     norm = max(abs(c) for c in f.coeffs)
     residuals = {}
     for re, im in set(keys):  # |f(z)| / (max|c_i| * max(1, |z|)^d) on the grid
-        z = _Fixed(re, im, scale)
-        residuals[re, im] = ((abs(_fixed_horner(f.coeffs, z)).re << (scale * (d - 1)))
-                             / (norm * max(1 << scale, abs(z).re) ** d))
+        vr, vi = _fixed_horner(f.coeffs, re, im, scale)
+        size = max(1 << scale, math.isqrt(re * re + im * im))
+        residuals[re, im] = ((math.isqrt(vr * vr + vi * vi) << (scale * (d - 1)))
+                             / (norm * size ** d))
     found = [(z, residuals[key]) for z, key in zip(roots, keys)]
     worst = max(residuals.values())
     if worst > tol:

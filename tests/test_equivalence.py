@@ -10,7 +10,6 @@ from dompoly.equivalence import (
     bundled_catalog,
     bundled_catalog_text,
     certificate_for,
-    is_d_unique_within,
     partition_catalog,
     verify_friendship_not_unique,
 )
@@ -134,21 +133,6 @@ def test_verify_friendship_not_unique_large():
     assert w.friendship.n == 201
     assert w.certificate.detail_a[0] == 200  # hub degree
     assert sorted(set(w.certificate.detail_b)) == [2, 101, 200]
-
-
-def test_is_d_unique_within():
-    catalog = bundled_catalog(4)
-    ids = [line for line in bundled_catalog_text(4).splitlines() if line]
-    c4 = build_family(FamilySpec("cycle", 4))
-    unique, witnesses = is_d_unique_within(c4, catalog, ids)
-    assert unique and witnesses == []
-    f2 = build_family(FamilySpec("friendship", 2))
-    bc2 = build_family(FamilySpec("book_contracted", 2))
-    unique, witnesses = is_d_unique_within(f2, [f2, bc2], ids=["f2", "bc2"])
-    assert not unique and witnesses == ["bc2"]
-    k1 = build_family(FamilySpec("complete", 1))
-    unique, witnesses = is_d_unique_within(k1, [k1])
-    assert unique
 
 
 def test_catalog_graphs_parse_and_roundtrip():

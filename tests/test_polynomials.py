@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: frozen expansions, ring axioms, gcd."""
 
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -253,6 +254,27 @@ def test_serialization_roundtrip():
     assert P.from_coeff_string(p.to_coeff_string()) == p
     with pytest.raises(ValueError):
         P.from_coeff_string("1,x")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer string conversion limit")
+def test_poly_strings_past_the_int_string_limit():
+    """Coefficients of about 720 digits convert both ways under a 640-digit
+    limit, outside the CLI, and each conversion puts the limit back."""
+    p = family_poly(FamilySpec("friendship", 1200))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = p.to_coeff_string()
+        assert P.from_coeff_string(text) == p
+        digits = text.split(",")
+        assert repr(p) == f"IntPolynomial([{', '.join(digits)}])"
+        assert max(digits, key=len) in str(p)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert max(len(c) for c in digits) > 640
+    assert digits == [str(c) for c in p.coeffs]
 
 
 def test_human_format():

@@ -2,8 +2,8 @@
 low/high split against an enumeration oracle, the graph6 codec,
 exact division, the heuristic gcd, Taylor shifts, square-free
 decomposition, Horner evaluation (exact, and in the solver's fixed point
-against Horner over `_Fixed` and against its error bound) and real-root
-isolation (against a Sturm count and against constructed real roots), on
+against its error bound), the solver's fixed-point division (against the
+exact floors of both parts) and real-root isolation (against a Sturm count and against constructed real roots), on
 inputs drawn by hypothesis.
 
 Examples are derandomized so every run draws the same inputs."""
@@ -33,7 +33,7 @@ from dompoly.polynomials import (
     poly_gcd,
 )
 from dompoly.roots import (
-    _Fixed,
+    _fixed_div,
     _fixed_horner,
     _isolate,
     _refine,
@@ -196,15 +196,25 @@ def fixed_point_cases(draw):
     return coeffs, prec, scale, draw(part), draw(part)
 
 
+fixed_parts = st.integers(-2 ** 400, 2 ** 400)
+
+
 @deterministic
-@given(fixed_point_cases())
-def test_fixed_point_kernel_equals_horner_over_fixed(case):
-    """The solver's integer kernel applies exactly the floors of Horner's
-    rule over `_Fixed`, so every value it returns is the same, bit for bit."""
-    coeffs, _, scale, a, b = case
-    for z in (_Fixed(a, b, scale), _Fixed(abs(a), 0, scale)):
-        kernel, generic = _fixed_horner(coeffs, z), horner(coeffs, z)
-        assert (kernel.re, kernel.im, kernel.scale) == (generic.re, generic.im, scale)
+@given(fixed_parts, fixed_parts, fixed_parts, fixed_parts, st.integers(0, 300))
+def test_fixed_point_division_floors_both_parts(ar, ai, br, bi, scale):
+    """The solver's fixed-point quotient of (ar + i*ai)/2^P by
+    (br + i*bi)/2^P is the exact quotient with each part floored to a
+    multiple of 2^-P, and dividing by 0 raises ZeroDivisionError."""
+    with pytest.raises(ZeroDivisionError):
+        _fixed_div(ar, ai, 0, 0, scale)
+    if not (br or bi):
+        return
+    a, b = Fraction(ar, 1 << scale), Fraction(ai, 1 << scale)
+    c, d = Fraction(br, 1 << scale), Fraction(bi, 1 << scale)
+    norm = c * c + d * d
+    exact = ((a * c + b * d) / norm, (b * c - a * d) / norm)
+    assert _fixed_div(ar, ai, br, bi, scale) == tuple(
+        math.floor(part * (1 << scale)) for part in exact)
 
 
 @deterministic
@@ -217,14 +227,14 @@ def test_fixed_point_horner_within_its_error_bound(case):
     p(z)*2^(P*d) is exact in the Gaussian integers."""
     coeffs, prec, scale, a, b = case
     d = len(coeffs) - 1
-    value = _fixed_horner(coeffs, _Fixed(a, b, scale))
+    value_re, value_im = _fixed_horner(coeffs, a, b, scale)
     # Horner's rule over the Gaussian integers, c_i lifted by 2^(P*(d-i))
     exact_re = exact_im = 0
     for i, c in enumerate(reversed(coeffs)):
         exact_re, exact_im = (exact_re * a - exact_im * b + (c << (scale * i)),
                               exact_re * b + exact_im * a)
-    err_re = (value.re << (scale * (d - 1))) - exact_re
-    err_im = (value.im << (scale * (d - 1))) - exact_im
+    err_re = (value_re << (scale * (d - 1))) - exact_re
+    err_im = (value_im << (scale * (d - 1))) - exact_im
     err2 = err_re ** 2 + err_im ** 2  # |error|^2 * 2^(2*P*d)
     modulus2 = a * a + b * b
     assert (err2 << (2 * scale)

@@ -19,6 +19,8 @@ from dompoly.polynomials import ONE, X, IntPolynomial
 from dompoly.roots import (
     ConvergenceError,
     _aberth_roots,
+    _aberth_sweeps,
+    _fixed_sweeps,
     _newton_polygon_starts,
     all_roots,
     count_real_roots_in,
@@ -322,13 +324,32 @@ def test_all_roots_diagnostics():
                for d in all_roots(friendship(9)).diagnostics)
     # diagnostics take no part in equality
     assert dataclasses.replace(rs, diagnostics=()) == rs
-    # the sweeps are those of Horner's rule over `_Fixed` objects, which the
-    # integer kernel reproduces bit for bit (CPython 3.11, x86-64); the
-    # polish stops at a zero step, so it takes fewer than 4 steps per root
+    # the double-precision sweeps are those of CPython 3.11 on x86-64; the
+    # fixed-point sweeps from their iterates are exact integer arithmetic;
+    # the polish stops at a zero step, so it takes fewer than 4 steps per root
     (diag,) = all_roots(friendship(9)).diagnostics
     assert (diag.degree, diag.float_sweeps, diag.mp_sweeps, diag.converged) == (18, 12, 4, True)
     assert diag.degree <= diag.polish_steps < 4 * diag.degree
     assert dataclasses.replace(diag, polish_steps=0) == diag
+
+
+def test_coincident_iterates_are_nudged_apart():
+    """Two coincident iterates make the repulsion divide by 0; both phases
+    then nudge the moving one off the other and still converge, to the two
+    distinct roots of x^2 - 2."""
+    coeffs = (-2, 0, 1)
+    roots = [1 + 1j, 1 + 1j]
+    _, converged = _aberth_sweeps([float(c) for c in coeffs], roots)
+    assert converged
+    assert sorted(z.real for z in roots) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
+    assert all(abs(z.imag) < 1e-9 for z in roots)
+    prec, scale = 64, 80
+    grid = [(1 << scale, 1 << scale)] * 2
+    _, converged = _fixed_sweeps(coeffs, grid, prec, scale)
+    assert converged
+    assert sorted(re / 2 ** scale for re, _ in grid) == pytest.approx(
+        [-math.sqrt(2), math.sqrt(2)])
+    assert all(abs(im) < 2 ** (scale - 30) for _, im in grid)
 
 
 def test_all_roots_default_tol_follows_precision():
