@@ -241,7 +241,8 @@ def book_family() -> ExponentialFamily:
 
 def family_poly(spec: FamilySpec) -> IntPolynomial:
     """Exact domination polynomial of a family member, without building the
-    graph; usable far beyond the enumeration budget.
+    graph, in O(n) operations on O(n)-bit integers for every family (paths
+    and cycles by gap counts); usable far beyond the enumeration budget.
 
     The contracted book is deliberately computed through its structure
     (a hub joined to a clique-with-pendants, i.e. join + corona) rather than
@@ -271,40 +272,49 @@ def family_poly(spec: FamilySpec) -> IntPolynomial:
 
 
 def _path_poly(n: int) -> IntPolynomial:
-    return _three_term_recurrence(((0, 1), (0, 2, 1), (0, 1, 3, 1)), n)
+    """d(P_n, i) = T(i, n - i) + T(i - 1, n - i - 1), as the end gaps lie in
+    {0, 1}, the i - 1 inner ones in {0, 1, 2}, and (1+t)^2 = (1+t+t^2) + t."""
+    inner = [0, *_trinomial_diagonal(n - 2), 0]
+    return IntPolynomial(map(int.__add__, _trinomial_diagonal(n), inner))
 
 
 def _cycle_poly(n: int) -> IntPolynomial:
-    """Seeded with C1 = x and C2 = x^2 + 2x, which are seed values only,
-    not simple graphs; n >= 3."""
+    """d(C_n, i) = (n / i)·T(i, n - i): a dominating i-set with one member
+    marked is a start vertex and the i gaps read from it, each in
+    {0, 1, 2}; n >= 3."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return _three_term_recurrence(((0, 1), (0, 2, 1), (0, 3, 3, 1)), n)
+    return IntPolynomial([0] + [n * u // i for i, u in
+                                enumerate(_trinomial_diagonal(n)) if i])
 
 
-def _three_term_recurrence(seeds: tuple[tuple[int, ...], ...], n: int) -> IntPolynomial:
-    """D_n from the coefficients of D_1, D_2, D_3 by
+def _trinomial_diagonal(n: int) -> list[int]:
+    """[T(i, n - i) for i = 0..n], T(i, r) = [t^r](1 + t + t^2)^i: the ways
+    to fill i gaps with 0, 1 or 2 vertices each, r in all.
 
-        D_k = x·(D_{k-1} + D_{k-2} + D_{k-3}),
+    In O(n) operations on O(n)-bit integers, O(n^2) bit operations in all:
+    T(i, n - i) = 0 for i < n/3, and the walk starts at the top of row
+    ⌈n/3⌉, T(i, 2i) = 1 and T(i, 2i - 1) = i.  It extends row i downwards by
+    the coefficient of t^(s-1) in (1 + t + t^2)·F' = i·(1 + 2t)·F, F the row,
 
-    which holds for paths and for cycles (Alikhani & Peng, 2008/2009).
+        s·T(i, s) = (i - s + 1)·T(i, s - 1) + (2i - s + 2)·T(i, s - 2),
 
-    Runs on packed integers: coefficient i sits in the w-bit slot at bit
-    w·i, with w > n a whole number of bytes, so each step is one sum and
-    one shift.  Slots never carry, because every coefficient of D_k is
-    below 2^k <= 2^n: it counts subsets of k vertices.
+    solved for T(i, s - 2): an exact division by 2i - s + 2 > 0, as s <= 2i.
+    The next row follows by T(i + 1, r) = T(i, r) + T(i, r - 1) + T(i, r - 2).
     """
-    if n <= 3:
-        return IntPolynomial(seeds[n - 1])
-    width = n // 8 + 1  # bytes per slot
-    w = 8 * width
-    a, b, c = (sum(coeff << (w * i) for i, coeff in enumerate(seed))
-               for seed in seeds)
-    for _ in range(n - 3):
-        a, b, c = b, c, (a + b + c) << w
-    packed = c.to_bytes((n + 1) * width, "little")
-    return IntPolynomial(int.from_bytes(packed[i:i + width], "little")
-                         for i in range(0, len(packed), width))
+    diagonal = [0] * (n + 1)
+    i = -(-n // 3)
+    s, a, b = 2 * i, 1, i  # a = T(i, s), b = T(i, s - 1)
+    for _ in range(3 * i - n):  # down row i to s = n - i
+        s, a, b = s - 1, b, (s * a - (i - s + 1) * b) // (2 * i - s + 2)
+    for i in range(i, n + 1):
+        diagonal[i] = a
+        j = 2 * i - s  # c, d, e = T(i, s - 2), T(i, s - 3), T(i, s - 4)
+        c = (s * a - (i - s + 1) * b) // (j + 2)
+        d = ((s - 1) * b - (i - s + 2) * c) // (j + 3)
+        e = ((s - 2) * c - (i - s + 3) * d) // (j + 4)
+        s, a, b = s - 1, b + c + d, c + d + e
+    return diagonal
 
 
 def corona_family_poly(kind: str, base_order: int, n: int, depth: int) -> IntPolynomial:

@@ -394,10 +394,13 @@ def _refine(square_free: IntPolynomial, lo: Fraction, hi: Fraction,
     base = lo.numerator * (den // lo.denominator)
     unit = h.numerator * (den // h.denominator)
     values = {}
+    d = square_free.degree
 
     def sign(m: int) -> int:  # of the value at lo + m*h
-        if m not in values:
-            values[m] = _scaled_value(square_free, base + m * unit, den)
+        if m not in values:  # at the reduced denominator, scaled back to den
+            num = base + m * unit
+            t = ((num | den) & -(num | den)).bit_length() - 1
+            values[m] = _scaled_value(square_free, num >> t, den >> t) << (t * d)
         return (values[m] > 0) - (values[m] < 0)
 
     a, b = 0, 1 << k
@@ -616,7 +619,7 @@ def _fixed_sweeps(coeffs, roots: list, prec: int, s: int) -> tuple[int, bool]:
     part; sums are exact."""
     d = len(coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    moduli = [abs(c) for c in coeffs]
+    moduli = [abs(c) << s for c in reversed(coeffs)]  # high to low, at scale s
     bound = 4 * d << (s - prec)  # 4*d*eps at scale s
     one, unit = 1 << s, 1 << (2 * s)
     frozen = [False] * d
@@ -627,8 +630,10 @@ def _fixed_sweeps(coeffs, roots: list, prec: int, s: int) -> tuple[int, bool]:
             zr, zi = roots[j]
             pr, pi = _fixed_horner(coeffs, zr, zi, s)
             size = math.isqrt(zr * zr + zi * zi)
-            threshold = bound * _fixed_horner(moduli, size, 0, s)[0] >> s
-            if math.isqrt(pr * pr + pi * pi) <= threshold:
+            acc = 0  # the modulus sum |c_0| + |c_1|*|z| + ..., by real Horner
+            for c in moduli:
+                acc = ((acc * size) >> s) + c
+            if math.isqrt(pr * pr + pi * pi) <= bound * acc >> s:
                 frozen[j] = True
                 continue
             try:

@@ -6,10 +6,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dompoly.domination import (
     EnumerationBudgetError,
     _cycle_poly,
+    _trinomial_diagonal,
     brute_force_poly,
     corona_family_poly,
     corona_poly,
@@ -331,6 +334,71 @@ def test_paths_and_cycles_match_old_sweep():
         cycle = (sum(first_in[n - 2], zero) + sum(second_in[n - 2][:2], zero)
                  + X * sum(both_out[n - 3], zero))
         assert family_poly(FamilySpec("cycle", n)) == cycle, n
+
+
+def three_term_recurrence(seeds, n):
+    """D_n from the coefficients of D_1, D_2, D_3 by
+
+        D_k = x·(D_{k-1} + D_{k-2} + D_{k-3}),
+
+    which holds for paths and for cycles (Alikhani & Peng, 2008/2009).
+
+    Runs on packed integers: coefficient i sits in the w-bit slot at bit
+    w·i, with w > n a whole number of bytes, so each step is one sum and
+    one shift.  Slots never carry, because every coefficient of D_k is
+    below 2^k <= 2^n: it counts subsets of k vertices.  The path and cycle
+    closed forms used it until they counted gaps; it is their reference.
+    """
+    if n <= 3:
+        return IntPolynomial(seeds[n - 1])
+    width = n // 8 + 1  # bytes per slot
+    w = 8 * width
+    a, b, c = (sum(coeff << (w * i) for i, coeff in enumerate(seed))
+               for seed in seeds)
+    for _ in range(n - 3):
+        a, b, c = b, c, (a + b + c) << w
+    packed = c.to_bytes((n + 1) * width, "little")
+    return IntPolynomial(int.from_bytes(packed[i:i + width], "little")
+                         for i in range(0, len(packed), width))
+
+
+PATH_SEEDS = ((0, 1), (0, 2, 1), (0, 1, 3, 1))
+CYCLE_SEEDS = ((0, 1), (0, 2, 1), (0, 3, 3, 1))  # C1, C2: seed values only
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 500))
+@example(1)
+@example(3)
+@example(500)
+@example(2000)
+def test_paths_and_cycles_match_three_term_recurrence(n):
+    assert family_poly(FamilySpec("path", n)) == \
+        three_term_recurrence(PATH_SEEDS, n), n
+    if n >= 3:
+        assert family_poly(FamilySpec("cycle", n)) == \
+            three_term_recurrence(CYCLE_SEEDS, n), n
+
+
+def test_trinomial_identities_and_diagonal():
+    """The two identities the gap-count walk rests on, checked on rows of
+    (1 + x + x^2)^i built by Miller's power, and the walk read off them."""
+    rows = [((ONE + X + X * X) ** i).coeffs for i in range(301)]
+
+    def entry(i, s):
+        return rows[i][s] if 0 <= s < len(rows[i]) else 0
+
+    for i, row in enumerate(rows):
+        assert len(row) == 2 * i + 1
+        for s in range(-2, 2 * i + 2):
+            # s·T(i, s) = (i - s + 1)·T(i, s - 1) + (2i - s + 2)·T(i, s - 2)
+            quotient, rest = divmod(
+                s * entry(i, s) - (i - s + 1) * entry(i, s - 1), 2 * i - s + 2)
+            assert rest == 0 and quotient == entry(i, s - 2), (i, s)
+            if i:  # T(i, s) = T(i - 1, s) + T(i - 1, s - 1) + T(i - 1, s - 2)
+                assert entry(i, s) == sum(entry(i - 1, s - k) for k in range(3))
+    for n in range(301):
+        assert _trinomial_diagonal(n) == [entry(i, n - i) for i in range(n + 1)], n
 
 
 def test_family_poly_far_beyond_budget():
