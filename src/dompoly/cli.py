@@ -15,8 +15,10 @@ Identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -237,11 +239,35 @@ def main(argv=None) -> int:
 
 
 def _emit(args, text: str) -> None:
+    with _output(args) as fh:
+        fh.write(text)
+
+
+def _emit_csv(args, header, rows) -> None:
+    """Write the header and rows as csv.writer's default dialect does with
+    "\n" line ends: a field holding a comma, a quote or a line break goes in
+    quotes, its quotes doubled.  Each field goes straight to the output, as
+    it is: csv.writer would first copy a whole row into a buffer of four
+    bytes a character, and a polynomial's coefficients are one field."""
+    with _output(args) as fh:
+        for row in itertools.chain([header], rows):
+            for k, value in enumerate(row):
+                text = str(value)
+                quote = '"' if any(c in text for c in ',"\n\r') else ""
+                fh.write(("," if k else "") + quote)
+                fh.write(text.replace('"', '""') if quote else text)
+                fh.write(quote)
+            fh.write("\n")
+
+
+@contextlib.contextmanager
+def _output(args):
+    """The --output file, opened for writing, or else stdout."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _resolve_inputs(args) -> list[tuple[str, FamilySpec | None, Graph | None]]:
@@ -312,10 +338,9 @@ def cmd_poly(args) -> int:
         } for label, polys, verdict in results]
         _emit(args, json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
-        buf = _csv_buffer(["input", "method", "degree", "coefficients"], (
+        _emit_csv(args, ["input", "method", "degree", "coefficients"], (
             [label, name, p.degree, p.to_coeff_string()]
             for label, polys, _ in results for name, p in polys.items()))
-        _emit(args, buf)
     else:
         lines = []
         for label, polys, verdict in results:
@@ -331,17 +356,6 @@ def cmd_poly(args) -> int:
 def _poly_json(p: IntPolynomial) -> dict[str, str]:
     digits = [str(c) for c in p.coeffs]
     return {"coefficients": ",".join(digits), "text": terms_text(p.coeffs, digits)}
-
-
-def _csv_buffer(header, rows) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 # -- roots ------------------------------------------------------------------
@@ -408,7 +422,7 @@ def cmd_roots(args) -> int:
                          for lo, hi in intervals]
             else:
                 rows += _root_rows(root_set)
-        _emit(args, _csv_buffer(["re", "im", "residual"], rows))
+        _emit_csv(args, ["re", "im", "residual"], rows)
     else:
         lines = []
         for label, poly, intervals, ints, root_set in reports:
@@ -564,8 +578,7 @@ def cmd_equiv(args) -> int:
             if len(members) > 1:
                 stats[2] += len(members)
         rows = [[order, *stats] for order, stats in sorted(per_order.items())]
-        _emit(args, _csv_buffer(["order", "graphs", "classes", "non_unique"],
-                                rows))
+        _emit_csv(args, ["order", "graphs", "classes", "non_unique"], rows)
     else:
         lines = [
             f"graphs: {report.graph_count}",

@@ -144,12 +144,6 @@ def book_limit_curve(samples: int = 513) -> LimitCurve:
     )
 
 
-def _hyperbola_point(b: float, sign: float) -> complex:
-    """The point with imaginary part b on the right (sign 1) or left
-    (sign -1) branch of (Re x + 1)^2 - (Im x)^2 = 1/2."""
-    return complex(-1 + sign * math.sqrt(0.5 + b * b), b)
-
-
 def _modulus_balance_points(a: np.ndarray, sign: float) -> tuple[complex, ...]:
     """The points with real parts a on the upper (sign 1) or lower (sign -1)
     half of |x+1|^2 = |x|: the modulus s = |x| solves s^2 - s + 2a + 1 = 0,
@@ -209,7 +203,7 @@ def bkw_limit_points(family: ExponentialFamily, grid: GridRegion | None = None,
     the remaining lambdas.  Isolated points are roots of each alpha_j at
     which lambda_j strictly dominates.
 
-    Grid nodes, edges and bisections are float64 arrays, and each array
+    All pairs are traced in one pass over float64 arrays, and each array
     operation is the one Python complex arithmetic performs on a single
     point, so every point is bit-identical to a point-by-point evaluation.
 
@@ -219,38 +213,29 @@ def bkw_limit_points(family: ExponentialFamily, grid: GridRegion | None = None,
     grid = grid or GridRegion()
     lambdas: Sequence[IntPolynomial] = tuple(family.lambdas)
     _reject_degenerate(lambdas)
-
-    pieces = []
+    pairs = [(i, j) for i in range(len(lambdas)) for j in range(i + 1, len(lambdas))]
     # overflow to inf and inf - inf = NaN pass silently, as for Python floats
     with np.errstate(all="ignore"):
         re = _lerp(grid.re_min, grid.re_max, _unit_steps(grid.re_cells + 1))
         im = _lerp(grid.im_min, grid.im_max, _unit_steps(grid.im_cells + 1))
-        nodes = _SplitComplex(re[np.newaxis, :], im[:, np.newaxis])  # rows: im
-        moduli = [abs(horner(lam.coeffs, nodes)) for lam in lambdas]
-        for i in range(len(lambdas)):
-            for j in range(i + 1, len(lambdas)):
-                pts = _trace_pair(lambdas, i, j, re, im, moduli, tol)
-                if pts:
-                    pieces.append(CurvePiece(
-                        implicit_id=f"equimodular:{i}:{j}",
-                        points=pts,
-                        re_window=(grid.re_min, grid.re_max),
-                        connected=False,
-                    ))
+        pair, pts_re, pts_im = _trace_pairs(
+            [lam.coeffs for lam in lambdas], pairs, re, im, tol)
+    pieces = [CurvePiece(f"equimodular:{i}:{j}",
+                         _complexes(pts_re[pair == p], pts_im[pair == p]),
+                         re_window=(grid.re_min, grid.re_max), connected=False)
+              for p, (i, j) in enumerate(pairs) if (pair == p).any()]
     return LimitCurve(pieces=tuple(pieces),
                       isolated_points=_isolated_points(lambdas, family.alphas))
 
 
-class _SplitComplex:
-    """Complex numbers re + i*im held as two float64 arrays (or scalars that
-    broadcast against them): the point type `bkw_limit_points` hands to
-    `horner`, so that one Horner loop evaluates a whole grid of points.
+def _modulus(coeffs, re, im) -> np.ndarray:
+    """|p(re + i*im)| for the integer coefficients `coeffs` (low to high), at
+    float64 arrays re and im or scalars that broadcast against them.
 
-    It has what `horner` and the tracer use: * between two of them, * and +
-    with an int, and abs, which is np.hypot (the libm hypot that CPython's
-    abs(complex) calls).  Each result is the float64 expression CPython
-    evaluates for Python complex, so every modulus is bit-identical to the
-    scalar one; at most the sign of a zero part differs, which abs ignores.
+    Horner's rule runs on the two parts with CPython's float64 operations
+    for complex, from the leading coefficient (horner's 0*z*z + c_d at a
+    finite z), so at a finite point the modulus is abs(horner(...)) to the
+    bit: np.hypot is the libm hypot of abs(complex), blind to zero signs.
 
     numpy complex128 is not used: its SIMD kernels round differently.  With
     numpy 2.4 on an AVX-512 x86-64 machine, 92,954 of 200,000 complex128
@@ -258,27 +243,12 @@ class _SplitComplex:
     last bit, and np.abs(horner((1, 2, 1), Z)) differed from abs(horner(...))
     on 424,567 of 1,000,000 points of the default tracer region.
     """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    def __mul__(self, other):
-        if isinstance(other, _SplitComplex):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return _SplitComplex(a * c - b * d, a * d + b * c)
-        scale = float(other)
-        return _SplitComplex(scale * self.re, scale * self.im)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: int):
-        return _SplitComplex(self.re + float(other), self.im)
-
-    def __abs__(self):
-        return np.hypot(self.re, self.im)
+    if len(coeffs) == 1:  # hypot(c, 0.0) is |c|
+        return np.full(np.broadcast(re, im).shape, abs(float(coeffs[0])))
+    acc_re, acc_im = float(coeffs[-1]), 0.0
+    for c in reversed(coeffs[:-1]):
+        acc_re, acc_im = acc_re * re - acc_im * im + float(c), acc_re * im + acc_im * re
+    return np.hypot(acc_re, acc_im)
 
 
 def _reject_degenerate(lambdas: Sequence[IntPolynomial]) -> None:
@@ -314,38 +284,45 @@ def _isolated_points(lambdas: Sequence[IntPolynomial],
     return tuple(isolated)
 
 
-def _trace_pair(lambdas, i, j, re: np.ndarray, im: np.ndarray, moduli,
-                tol: float) -> tuple[complex, ...]:
-    """The points of the |lambda_i| = |lambda_j| locus on the grid with
-    node coordinates re (columns) and im (rows).
+def _trace_pairs(coeffs, pairs, re: np.ndarray, im: np.ndarray, tol: float):
+    """Each point's index in pairs and its coordinates, for the points of
+    every pair's |lambda_i| = |lambda_j| locus on the grid with node
+    coordinates re (columns) and im (rows).
 
-    Every grid node where the modulus gap is exactly 0 is a point; every
-    edge from another node whose gap changes sign is bisected, all edges at
-    once.  Points come in row-major node order: at each node the node
-    itself, or else its right edge before its down edge.
+    Every grid node where a pair's modulus gap is exactly 0 is a point of
+    that pair; every edge from another node whose gap changes sign is
+    bisected, the edges of all pairs at once.  Points come by pair, then in
+    row-major node order: a node, or else its right edge before its down edge.
     """
-    gap = moduli[i] - moduli[j]
-    hits = np.zeros(gap.shape + (3,), dtype=bool)
-    hits[:, :, 0] = gap == 0.0
-    # a product is never negative at a zero node, so those skip their edges
-    hits[:, :-1, 1] = gap[:, :-1] * gap[:, 1:] < 0.0
-    hits[:-1, :, 2] = gap[:-1, :] * gap[1:, :] < 0.0
-    row, col, kind = np.nonzero(hits)
+    moduli = [_modulus(c, re[np.newaxis, :], im[:, np.newaxis]) for c in coeffs]
+    hits = []
+    for p, (i, j) in enumerate(pairs):
+        gap = moduli[i] - moduli[j]
+        hit = np.zeros(gap.shape + (3,), dtype=bool)
+        hit[:, :, 0] = gap == 0.0
+        # a product is never negative at a zero node, so those skip their edges
+        hit[:, :-1, 1] = gap[:, :-1] * gap[:, 1:] < 0.0
+        hit[:-1, :, 2] = gap[:-1, :] * gap[1:, :] < 0.0
+        row, col, kind = np.nonzero(hit)
+        hits.append((np.full(len(row), p), row, col, kind, gap[row, col]))
+    pair, row, col, kind, ga = (np.concatenate(v) for v in zip(*hits))
+    first, second = (np.array(side)[pair] for side in zip(*pairs))
     pts_re, pts_im = re[col], im[row]
+    found = np.ones(len(pair), dtype=bool)
     edge = kind > 0
     row, col, kind = row[edge], col[edge], kind[edge]
-    found = np.ones(len(edge), dtype=bool)
     pts_re[edge], pts_im[edge], found[edge] = _bisect_edges(
-        lambdas[i].coeffs, lambdas[j].coeffs,
+        coeffs, first[edge], second[edge],
         re[col], im[row], re[col + (kind == 1)], im[row + (kind == 2)],
-        gap[row, col], tol)
-    keep = found & _dominant(lambdas, i, j, _SplitComplex(pts_re, pts_im))
-    return _complexes(pts_re[keep], pts_im[keep])
+        ga[edge], tol)
+    keep = found & _dominant(coeffs, first, second, pts_re, pts_im)
+    return pair[keep], pts_re[keep], pts_im[keep]
 
 
-def _bisect_edges(ci, cj, a_re, a_im, b_re, b_im, ga, tol: float):
-    """Bisect each edge a-b, whose modulus gap g = |lambda_i| - |lambda_j|
-    is ga at a and of the other sign at b, in its own lane.
+def _bisect_edges(coeffs, first, second, a_re, a_im, b_re, b_im, ga, tol):
+    """Bisect each edge a-b, whose gap |lambda_first| - |lambda_second| is
+    ga at a and of the other sign at b, in its own lane; each step evaluates
+    each lambda once, at the midpoints of all live lanes.
 
     A lane stops at the first midpoint with |g| <= tol (found), or once the
     edge is narrower than 1e-15 * max(1, |mid|) (found only if
@@ -355,40 +332,52 @@ def _bisect_edges(ci, cj, a_re, a_im, b_re, b_im, ga, tol: float):
     mid_re, mid_im = np.empty_like(ga), np.empty_like(ga)
     found = np.ones(len(ga), dtype=bool)
     lane = np.arange(len(ga))
+    m_re, m_im = a_re, a_im  # the midpoints of no lanes, if there are none
     for _ in range(_BISECTION_STEPS):
         if not len(lane):
             break
         m_re, m_im = (a_re + b_re) / 2, (a_im + b_im) / 2
-        mid = _SplitComplex(m_re, m_im)
-        gm = abs(horner(ci, mid)) - abs(horner(cj, mid))
-        mid_re[lane], mid_im[lane] = m_re, m_im
-        size = abs(mid)
+        _, mi, mj = _pair_moduli(coeffs, first, second, m_re, m_im)
+        gm = mi - mj
         close = np.abs(gm) <= tol
-        narrow = np.hypot(b_re - a_re, b_im - a_im) < 1e-15 * np.where(
-            size > 1.0, size, 1.0)
-        found[lane] = close | ~narrow | (np.abs(gm) <= 1e3 * tol)  # live lanes: True
-        go = ~(close | narrow)
-        lane, a_re, a_im, b_re, b_im, ga, gm, m_re, m_im = (
-            v[go] for v in (lane, a_re, a_im, b_re, b_im, ga, gm, m_re, m_im))
+        # fmax(NaN, 1.0) is 1.0, as Python's max(1.0, NaN) is
+        stop = close | (np.hypot(b_re - a_re, b_im - a_im)
+                        < 1e-15 * np.fmax(np.hypot(m_re, m_im), 1.0))
+        if stop.any():  # compact the lanes
+            done, go = lane[stop], ~stop
+            mid_re[done], mid_im[done] = m_re[stop], m_im[stop]
+            found[done] = close[stop] | (np.abs(gm[stop]) <= 1e3 * tol)
+            lane, first, second, a_re, a_im, b_re, b_im, ga, gm, m_re, m_im = (
+                v[go] for v in (lane, first, second, a_re, a_im, b_re, b_im,
+                                ga, gm, m_re, m_im))
         flip = ga * gm < 0
         b_re, b_im = np.where(flip, m_re, b_re), np.where(flip, m_im, b_im)
         a_re, a_im = np.where(flip, a_re, m_re), np.where(flip, a_im, m_im)
         ga = np.where(flip, ga, gm)
+    mid_re[lane], mid_im[lane] = m_re, m_im  # out of steps: found
     return mid_re, mid_im, found
 
 
-def _dominant(lambdas, i, j, z: _SplitComplex) -> np.ndarray:
-    """Where the tied pair i, j is at least as large as every other lambda,
-    up to _DOMINANCE_SLACK; everywhere when there is no other lambda."""
-    mods = [abs(horner(lam.coeffs, z)) for lam in lambdas]
-    tied = np.where(mods[j] > mods[i], mods[j], mods[i])
-    others = [m for t, m in enumerate(mods) if t not in (i, j)]
-    if not others:
-        return np.ones(tied.shape, dtype=bool)
-    top = others[0]
-    for m in others[1:]:
-        top = np.where(m > top, m, top)
-    return tied >= top - _DOMINANCE_SLACK * np.where(tied > 1.0, tied, 1.0)
+def _pair_moduli(coeffs, first, second, re, im):
+    """Every lambda's modulus at the points re + i*im, a row per lambda, and
+    each point's |lambda_first| and |lambda_second|."""
+    mods = np.array([_modulus(c, re, im) for c in coeffs])
+    at = np.arange(len(re))
+    return mods, mods.take(first * len(re) + at), mods.take(second * len(re) + at)
+
+
+def _dominant(coeffs, first, second, re, im) -> np.ndarray:
+    """Where each point's tied pair is at least as large as every other
+    lambda, up to _DOMINANCE_SLACK; everywhere when there is no other lambda.
+    The others' maximum is Python's max, so a NaN counts only as the first."""
+    mods, mi, mj = _pair_moduli(coeffs, first, second, re, im)
+    tied = np.where(mj > mi, mj, mi)
+    top, seen = np.zeros_like(tied), np.zeros(len(tied), dtype=bool)
+    for k, m in enumerate(mods):
+        other = (first != k) & (second != k)
+        top = np.where(other & (~seen | (m > top)), m, top)
+        seen |= other
+    return ~seen | (tied >= top - _DOMINANCE_SLACK * np.where(tied > 1.0, tied, 1.0))
 
 
 # -- point-to-curve distance -------------------------------------------------------
@@ -443,7 +432,11 @@ def chordal_distance_to_hyperbola(z: complex) -> float:
     to_infinity = 2 / z_scale
     best = to_infinity
     last = _CHORDAL_SAMPLES - 1
-    us = [_lerp(-2.0, 2.0, t / last) for t in range(_CHORDAL_SAMPLES)]
+    u = _lerp(-2.0, 2.0, _unit_steps(_CHORDAL_SAMPLES))
+    inner = u[1:-1]  # the ends |u| = 2 are the point at infinity
+    bs = np.where(np.abs(inner) <= 1.0, im_max * inner,
+                  np.copysign(im_max / (2.0 - np.abs(inner)), inner))
+    us = u.tolist()
     for sign in (1.0, -1.0):
         def chi(u: float) -> float:
             if abs(u) >= 2.0:
@@ -452,14 +445,20 @@ def chordal_distance_to_hyperbola(z: complex) -> float:
             # maps onto the tails, with |u| -> 2 at infinity
             b = im_max * u if abs(u) <= 1.0 else math.copysign(
                 im_max / (2.0 - abs(u)), u)
-            w = _hyperbola_point(b, sign)
+            w = complex(-1 + sign * math.sqrt(0.5 + b * b), b)  # on the branch
             return 2 * abs(z - w) / (z_scale * math.sqrt(1 + abs(w) ** 2))
 
-        values = [chi(u) for u in us]
-        for k, v in enumerate(values):
+        # chi at every sample at once, with the same float64 operations
+        w_re = -1 + sign * np.sqrt(0.5 + bs * bs)
+        # Python's ** is libm pow, which numpy's square differs from in the last bit
+        w2 = np.array([h ** 2 for h in np.hypot(w_re, bs).tolist()])
+        v = np.concatenate(([to_infinity], 2 * np.hypot(z.real - w_re, z.imag - bs)
+                            / (z_scale * np.sqrt(1 + w2)), [to_infinity]))
+        # samples no larger than either neighbour (an end has one)
+        lower = (v <= np.append(v[0], v[:-1])) & (v <= np.append(v[1:], v[-1]))
+        for k in np.flatnonzero(lower).tolist():
             lo, hi = max(k - 1, 0), min(k + 1, last)
-            if v <= values[lo] and v <= values[hi]:
-                best = min(best, v, _golden_min(chi, us[lo], us[hi]))
+            best = min(best, float(v[k]), _golden_min(chi, us[lo], us[hi]))
     return best
 
 

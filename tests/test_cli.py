@@ -1,5 +1,6 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -194,6 +195,26 @@ def test_output_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(target.read_text())[0]["verdict"] == "AGREE"
+
+
+# a graph6 label may end in a line break, which parse_graph6 strips
+@pytest.mark.parametrize("row", [["plain", 7, 2.5, ""],
+                                 ["a,b", 'say "hi"', "two\nlines", "-1,0,12"],
+                                 ["A_\n", "closed", -3, '"']])
+def test_csv_output_is_csv_writers(tmp_path, capsys, row):
+    """CSV output is csv.writer's default dialect with "\\n" line ends.  (A
+    carriage return, which no output field can hold, is quoted by csv.writer
+    only from Python 3.13 on.)"""
+    header = ["input", "method", "degree", "coefficients"]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row, row])
+    dompoly.cli._emit_csv(argparse.Namespace(), header, iter([row, row]))
+    assert capsys.readouterr().out == expected.getvalue()
+    target = tmp_path / "out.csv"
+    dompoly.cli._emit_csv(argparse.Namespace(output=str(target)), header, [row, row])
+    assert target.read_bytes() == expected.getvalue().encode()
 
 
 def test_limits_export_csv(tmp_path, capsys):

@@ -6,6 +6,7 @@ last bit, in the same order.
 Examples are derandomized so every run draws the same inputs."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dompoly.limits
 from dompoly.domination import ExponentialFamily, book_family, friendship_family
 from dompoly.limits import (
     _DOMINANCE_SLACK,
@@ -22,8 +24,8 @@ from dompoly.limits import (
     LimitCurve,
     _isolated_points,
     _lerp,
+    _modulus,
     _reject_degenerate,
-    _SplitComplex,
     bkw_limit_points,
     book_limit_curve,
     distance_to_curve,
@@ -252,7 +254,7 @@ def test_on_locus_grids_hit_exact_zero_nodes(name, grid):
     assert any(z in nodes for piece in traced.pieces for z in piece.points)
 
 
-@pytest.mark.parametrize("bound", [1e155, 1e300, 1e-300])
+@pytest.mark.parametrize("bound", [1e155, 1e300, 1.7e308, 1e-300])
 def test_tracer_extreme_grids_silent_and_bit_identical(bound):
     """Overflow and underflow pass without numpy warnings, as they do for
     Python complex arithmetic."""
@@ -360,24 +362,67 @@ def test_book_curve_zero_length_segment_without_warnings():
             assert distance_to_curve(z, curve) == reference_distance_to_curve(z, curve)
 
 
-# -- the split-complex evaluator -----------------------------------------------------
+# -- the modulus kernel ----------------------------------------------------------------
 
 
 LAMBDAS = sorted({lam.coeffs for fam in (friendship_family(), book_family())
-                  for lam in fam.lambdas})
+                  for lam in fam.lambdas}) + [(-2,), (1, -3, 0, 2)]
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.0]),
+                   st.floats(-10.0, 10.0))
+
+
+def _hex_moduli(coeffs, points):
+    return [abs(horner(coeffs, z)).hex() for z in points]
 
 
 @deterministic
-@given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
-                min_size=1, max_size=40))
-def test_split_complex_horner_matches_python_complex(points):
+@given(st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=40))
+def test_modulus_matches_python_complex(points):
+    """Bit-identical to abs(horner(...)) on Python complex, at zero parts of
+    either sign too, and on the grid's row-against-column broadcast."""
     re = np.array([p[0] for p in points])
     im = np.array([p[1] for p in points])
     for coeffs in LAMBDAS:
-        split = horner(coeffs, _SplitComplex(re, im))
-        for k, (a, b) in enumerate(points):
-            value = horner(coeffs, complex(a, b))
-            # equal parts (== ignores only the sign of a zero part) ...
-            assert split.re[k] == value.real and split.im[k] == value.imag
-            # ... and bit-identical moduli
-            assert float(abs(split)[k]).hex() == abs(value).hex()
+        got = _modulus(coeffs, re, im)
+        assert got.shape == re.shape
+        assert [x.hex() for x in got.tolist()] == \
+            _hex_moduli(coeffs, [complex(a, b) for a, b in points])
+        grid = _modulus(coeffs, re[np.newaxis, :], im[:, np.newaxis])
+        assert grid.shape == (len(im), len(re))
+        assert [[x.hex() for x in row] for row in grid.tolist()] == \
+            [_hex_moduli(coeffs, [complex(a, b) for a in re.tolist()])
+             for b in im.tolist()]
+
+
+def test_tracer_evaluates_each_lambda_once_per_bisection_step(monkeypatch):
+    """One bisection loop serves every pair of the book family: the kernel
+    runs once per lambda at the grid nodes, once per lambda at each step, as
+    many steps as the scalar reference's longest lane, and once per lambda
+    in the dominance test."""
+    family, grid = book_family(), GridRegion(re_cells=30, im_cells=30)
+    coeffs = [lam.coeffs for lam in family.lambdas]
+    calls, lanes = [], []
+    modulus, bisect_edge = _modulus, _bisect_edge
+
+    def counted_modulus(c, re, im):
+        calls.append((c, re))
+        return modulus(c, re, im)
+
+    def counted_bisect_edge(g, za, zb, ga, tol):
+        steps = []
+        try:
+            return bisect_edge(lambda z: steps.append(z) or g(z), za, zb, ga, tol)
+        finally:
+            lanes.append(len(steps))
+
+    monkeypatch.setattr(dompoly.limits, "_modulus", counted_modulus)
+    monkeypatch.setattr(sys.modules[__name__], "_bisect_edge", counted_bisect_edge)
+    assert curve_bits(bkw_limit_points(family, grid)) == \
+        curve_bits(reference_bkw_limit_points(family, grid))
+    k = len(coeffs)
+    assert len(lanes) > 0 and len(calls) == k * (max(lanes) + 2)
+    for start in range(0, len(calls), k):
+        step = calls[start:start + k]
+        assert [c for c, _ in step] == coeffs
+        # all lambdas of one step see the same points
+        assert start == 0 or all(re is step[0][1] for _, re in step)
