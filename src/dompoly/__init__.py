@@ -50,15 +50,6 @@ from .graphs import (
     union,
     write_graph6,
 )
-from .limits import (
-    CurvePiece,
-    GridRegion,
-    LimitCurve,
-    bkw_limit_points,
-    book_limit_curve,
-    distance_to_curve,
-    friendship_limit_curve,
-)
 from .polynomials import (
     DEFAULT_PRECISION,
     IntPolynomial,
@@ -137,3 +128,23 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# `limits` and its names load on first access (PEP 562), and numpy with
+# them, so that `import dompoly` and the CLI start without numpy
+_LIMITS_NAMES = frozenset((
+    "CurvePiece", "GridRegion", "LimitCurve", "bkw_limit_points",
+    "book_limit_curve", "distance_to_curve", "friendship_limit_curve"))
+
+
+def __getattr__(name: str):
+    if name == "limits" or name in _LIMITS_NAMES:
+        # not `from . import limits`, which asks this hook for "limits" again
+        import importlib
+
+        limits = importlib.import_module(f"{__name__}.limits")
+        return limits if name == "limits" else getattr(limits, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "limits", *_LIMITS_NAMES})

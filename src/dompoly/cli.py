@@ -24,8 +24,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .domination import (
     BRUTE_FORCE_BUDGET_BITS,
@@ -44,12 +43,6 @@ from .graphs import (
     build_family,
     parse_graph6,
 )
-from .limits import (
-    GridRegion,
-    bkw_limit_points,
-    book_limit_curve,
-    friendship_limit_curve,
-)
 from .polynomials import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
@@ -65,6 +58,11 @@ from .roots import (
     integer_roots,
     real_roots_exact,
 )
+
+if TYPE_CHECKING:
+    import mpmath
+
+    from .limits import GridRegion
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -129,6 +127,8 @@ def _bounded_int(minimum: int, maximum: float = math.inf):
 
 def _nstr(x: mpmath.mpf, digits: int = 20) -> str:
     """x to `digits` significant digits, rounded from all of its bits."""
+    import mpmath
+
     return mpmath.nstr(x, digits, strip_zeros=True)
 
 
@@ -275,7 +275,8 @@ def _resolve_inputs(args) -> list[tuple[str, FamilySpec | None, Graph | None]]:
         spec = FamilySpec.parse(args.family)
         return [(str(spec), spec, None)]
     if args.graph6:
-        return [(args.graph6, None, parse_graph6(args.graph6))]
+        # the label drops the line breaks that parse_graph6 drops
+        return [(args.graph6.rstrip("\n"), None, parse_graph6(args.graph6))]
     jobs = []
     with open(args.graph6_file, "r", encoding="ascii") as fh:
         for line in fh:
@@ -452,6 +453,8 @@ def cmd_roots(args) -> int:
 
 
 def _parse_grid(text: str, resolution: int) -> GridRegion:
+    from .limits import GridRegion
+
     try:
         re_min, re_max, im_min, im_max = (float(p) for p in text.split(":"))
     except ValueError:
@@ -460,6 +463,9 @@ def _parse_grid(text: str, resolution: int) -> GridRegion:
 
 
 def _limit_curve(family: str, method: str, samples: int, grid: GridRegion):
+    # imported on call, so that the other commands start without numpy
+    from .limits import bkw_limit_points, book_limit_curve, friendship_limit_curve
+
     if method == "analytic":
         if family == "friendship":
             return friendship_limit_curve(samples=samples)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import (
     FamilySpec,
@@ -24,6 +23,9 @@ from .graphs import (
     odot,
 )
 from .polynomials import ONE, X, IntPolynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRUTE_FORCE_BUDGET_BITS = 26  # vertices; keeps every mask within an int64 entry
 
@@ -47,6 +49,8 @@ def _check_budget(g: Graph) -> None:
 def _cover_table(masks: list[int]) -> np.ndarray:
     """table[s] = union of masks[v] over the bits v of s, built by doubling:
     the subsets that contain v = j are those without it, or'ed with masks[j]."""
+    import numpy as np
+
     table = np.zeros(1 << len(masks), dtype=np.int64)
     for j, mask in enumerate(masks):
         table[1 << j:2 << j] = table[:1 << j] | mask
@@ -59,6 +63,8 @@ def _popcount_table(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of s, order lists the subsets by size, and those of size i are
     order[starts[i]:starts[i + 1]].  Built by doubling like _cover_table;
     cached, so the arrays are read-only."""
+    import numpy as np
+
     pop = np.zeros(1 << width, dtype=np.int64)
     for j in range(width):
         pop[1 << j:2 << j] = pop[:1 << j] + 1
@@ -85,6 +91,8 @@ def _count_covering_by_size(masks: list[int], full: int) -> list[int]:
     the low table, however many high parts share it; high parts that miss
     full even with every low vertex are dropped first.
     """
+    import numpy as np
+
     k = len(masks)
     lo = min(k, _CHUNK_BITS)
     low_table = _cover_table(masks[:lo])

@@ -11,7 +11,6 @@ since isomorphism testing is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 from .domination import EnumerationBudgetError, brute_force_poly, family_poly
 from .graphs import FamilySpec, Graph, build_family, write_graph6
@@ -166,6 +165,8 @@ def bundled_catalog_text(order: int) -> str:
     if order not in BUNDLED_ORDERS:
         raise ValueError(f"bundled catalogs cover orders "
                          f"{BUNDLED_ORDERS.start}..{BUNDLED_ORDERS.stop - 1}")
+    from importlib import resources
+
     return (resources.files("dompoly") / "data" / f"order{order}.g6").read_text()
 
 

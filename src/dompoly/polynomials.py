@@ -16,9 +16,10 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_PRECISION = 256  # bits
 MIN_PRECISION = 53
@@ -225,6 +226,8 @@ class IntPolynomial:
         evaluator at a point of the user's choosing, which the tests use and
         the benchmark's tracer looks up by name.
         """
+        import mpmath
+
         prec = _working_precision(self, precision)
         with mpmath.workprec(prec):
             return horner(self.coeffs, mpmath.mpc(z))

@@ -18,8 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .polynomials import (
     DEFAULT_PRECISION,
@@ -33,6 +32,9 @@ from .polynomials import (
     poly_gcd,
     taylor_shift,
 )
+
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_TOL = 1e-20  # the default residual tolerance from 75 bits up
 DEFAULT_INTERVAL_WIDTH = Fraction(1, 2 ** 40)
@@ -726,6 +728,8 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float
     member with Im >= 0, since |f(conj z)| = |f(z)| for real f.  A residual
     above `tol` raises ConvergenceError.
     """
+    import mpmath
+
     d = f.degree
     prec = _working_precision(f, precision)
     w = max(abs(c).bit_length() for c in f.coeffs)

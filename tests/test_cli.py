@@ -115,6 +115,15 @@ def test_poly_graph6_file(tmp_path, capsys):
     assert "x^3" in out  # 3K1 has polynomial x^3
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_graph6_label_drops_trailing_line_break(capsys, fmt):
+    """parse_graph6 strips a trailing line break, and so does the label."""
+    outputs = [run(capsys, "poly", "--graph6", g6, "--format", fmt)
+               for g6 in ("A_", "A_\n")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == EXIT_OK
+
+
 def test_roots_real_only_matches_reference(capsys):
     code, out, _ = run(capsys, "roots", "--family", "friendship:4",
                        "--real-only")
@@ -197,7 +206,6 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())[0]["verdict"] == "AGREE"
 
 
-# a graph6 label may end in a line break, which parse_graph6 strips
 @pytest.mark.parametrize("row", [["plain", 7, 2.5, ""],
                                  ["a,b", 'say "hi"', "two\nlines", "-1,0,12"],
                                  ["A_\n", "closed", -3, '"']])
