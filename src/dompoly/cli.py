@@ -60,8 +60,6 @@ from .roots import (
 )
 
 if TYPE_CHECKING:
-    import mpmath
-
     from .limits import GridRegion
 
 EXIT_OK = 0
@@ -125,11 +123,31 @@ def _bounded_int(minimum: int, maximum: float = math.inf):
     return parse
 
 
-def _nstr(x: mpmath.mpf, digits: int = 20) -> str:
-    """x to `digits` significant digits, rounded from all of its bits."""
-    import mpmath
-
-    return mpmath.nstr(x, digits, strip_zeros=True)
+def _nstr(x: Fraction) -> str:
+    """The dyadic x as mpmath.nstr(x, 20, strip_zeros=True) prints it: its
+    digits floored from 86 bits as mpmath floors them, rounded up at a 21st
+    digit of 5 or more, in fixed form for decimal exponents -5 to 19.  Where
+    the binary exponent exceeds 3500 in size, mpmath first divides by a
+    power of ten at 86 bits; here that division is exact."""
+    if not x:
+        return "0.0"
+    n, d = abs(x.numerator), x.denominator
+    lead = n.bit_length() - d.bit_length() + 1  # 2^(lead-1) <= |x| < 2^lead
+    tens = 0 if abs(lead) <= 3500 else int(lead * math.log10(2))
+    n, d = (n, d * 10 ** tens) if tens > 0 else (n * 10 ** -tens, d)
+    fix = max(85 - n.bit_length() + d.bit_length(), 0)
+    places = int(fix / math.log(10, 2) + 0.5)
+    digits = str(((n << fix) // d * 10 ** places) >> fix)
+    exponent = tens + len(digits) - places - 1
+    if digits[20:21] >= "5":
+        digits = str(int(digits[:20]) + 1)
+        exponent += len(digits) > 20
+    digits, split = digits[:20], 1
+    if -6 < exponent < 20:
+        digits, split, exponent = "0" * -exponent + digits, 1 + max(exponent, 0), 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    text += "0" if text.endswith(".") else ""
+    return ("-" if x < 0 else "") + text + (f"e{exponent:+d}" if exponent else "")
 
 
 @functools.cache
@@ -276,7 +294,7 @@ def _resolve_inputs(args) -> list[tuple[str, FamilySpec | None, Graph | None]]:
         return [(str(spec), spec, None)]
     if args.graph6:
         # the label drops the line breaks that parse_graph6 drops
-        return [(args.graph6.rstrip("\n"), None, parse_graph6(args.graph6))]
+        return [(args.graph6.rstrip("\r\n"), None, parse_graph6(args.graph6))]
     jobs = []
     with open(args.graph6_file, "r", encoding="ascii") as fh:
         for line in fh:
@@ -366,8 +384,7 @@ def _root_rows(root_set: RootSet) -> list[list[str]]:
     """(re, im, residual) rows, one per root counted with multiplicity."""
     rows = [["0", "0", "0"]] * root_set.zero_multiplicity
     for r in root_set.complex_roots:
-        rows += [[_nstr(r.value.real), _nstr(r.value.imag),
-                  repr(r.residual)]] * r.multiplicity
+        rows += [[_nstr(r.re), _nstr(r.im), repr(r.residual)]] * r.multiplicity
     return rows
 
 
@@ -409,7 +426,7 @@ def cmd_roots(args) -> int:
             if root_set is not None:
                 entry["zero_multiplicity"] = root_set.zero_multiplicity
                 entry["complex_roots"] = [{
-                    "re": _nstr(r.value.real), "im": _nstr(r.value.imag),
+                    "re": _nstr(r.re), "im": _nstr(r.im),
                     "residual": repr(r.residual),
                     "multiplicity": r.multiplicity,
                 } for r in root_set.complex_roots]
@@ -443,7 +460,7 @@ def cmd_roots(args) -> int:
                 lines.append("complex roots (re, im, residual, multiplicity):")
                 for r in root_set.complex_roots:
                     lines.append(
-                        f"  {_nstr(r.value.real)}  {_nstr(r.value.imag)}  "
+                        f"  {_nstr(r.re)}  {_nstr(r.im)}  "
                         f"{r.residual:.3e}  {r.multiplicity}")
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -482,7 +499,7 @@ def _scatter_rows(family: str, n_max: int, precision: int, tol: float):
     for n in range(1, n_max + 1):
         root_set = all_roots(family_poly(FamilySpec(family, n)), precision, tol)
         rows += _root_rows(root_set)
-        moduli = [float(abs(r.value)) for r in root_set.complex_roots]
+        moduli = [abs(complex(r)) for r in root_set.complex_roots]
         max_modulus.append((n, max(moduli, default=0.0)))
     return rows, max_modulus
 

@@ -351,7 +351,7 @@ def parse_graph6(text: str, cap: int = DEFAULT_CAP) -> Graph:
     if text.startswith(_G6_HEADER):
         base = len(_G6_HEADER)
         text = text[base:]
-    text = text.rstrip("\n")
+    text = text.rstrip("\r\n")
     if not text:
         raise Graph6ParseError("empty graph6 string", base)
     data = [ord(ch) for ch in text]

@@ -184,9 +184,10 @@ class GridRegion:
     im_cells: int = 120
 
     def __post_init__(self):
-        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max,
+                  self.re_max - self.re_min, self.im_max - self.im_min)
         if not all(math.isfinite(v) for v in bounds):
-            raise ValueError("grid bounds must be finite")
+            raise ValueError("grid bounds and spans must be finite")
         if self.re_min >= self.re_max or self.im_min >= self.im_max:
             raise ValueError("empty grid region")
         if self.re_cells < 2 or self.im_cells < 2:
@@ -274,7 +275,7 @@ def _isolated_points(lambdas: Sequence[IntPolynomial],
             continue
         root_set = all_roots(alpha)
         candidates = [0j] * (1 if root_set.zero_multiplicity else 0)
-        candidates += [complex(r.value) for r in root_set.complex_roots]
+        candidates += [complex(r) for r in root_set.complex_roots]
         for z in candidates:
             mj = abs(horner(lambdas[j].coeffs, z))
             others = [abs(horner(lambdas[i].coeffs, z)) for i in range(k) if i != j]

@@ -5,9 +5,10 @@ Coefficients are arbitrary-precision Python ints stored low-to-high:
 n-vertex graph the degree is n, the leading coefficient is 1, the constant
 term is 0, and the least nonzero index is the domination number.
 
-Complex evaluation is multiprecision (mpmath), default 256 bits; double
-precision is useless here because coefficient magnitudes reach binomial
-scale while the interesting roots sit near the unit circle.
+Evaluation is exact at integer and rational points.  The complex solver
+evaluates in its own fixed point, by default at 256 bits; double precision
+is useless here because coefficient magnitudes reach binomial scale while
+the interesting roots sit near the unit circle.
 """
 
 from __future__ import annotations
@@ -221,10 +222,10 @@ class IntPolynomial:
         """Horner evaluation at a complex point, at `precision` bits.
 
         Coefficients wider than the working precision raise it so the
-        conversion stays exact.  Nothing in the package calls it, since the
-        solver evaluates in its own fixed point; it stays as the public
-        evaluator at a point of the user's choosing, which the tests use and
-        the benchmark's tracer looks up by name.
+        conversion stays exact.  It needs mpmath, from the `test` extra.
+        Nothing in the package calls it, since the solver evaluates in its
+        own fixed point; it stays because the tests use it and the
+        benchmark's tracer looks it up by name.
         """
         import mpmath
 
@@ -299,9 +300,10 @@ def terms_text(coeffs, digits) -> str:
 def horner(coeffs, z):
     """Value at z of the polynomial with low-to-high coefficients `coeffs`.
 
-    Arithmetic is that of z's type: exact for int and Fraction points, and
-    at the current mpmath precision for mpc points.  The zero polynomial
-    evaluates to a zero of that type.
+    Arithmetic is that of z's type: exact for int and Fraction points, in
+    doubles for float and complex ones, and at the current mpmath precision
+    for mpc points (`eval_complex`).  The zero polynomial evaluates to a
+    zero of that type.
     """
     acc = 0 * z
     for c in reversed(coeffs):

@@ -6,10 +6,10 @@ Exactness split: anything feeding a count ("how many real roots", "is -2 a
 root") goes through integer/rational arithmetic and is certified; complex
 root positions come from a simultaneous-iteration solver and carry a
 normalized residual bound instead.  The solver runs in doubles, then at the
-working precision in fixed point, on (re, im) pairs of Python integers;
-mpmath holds the roots it returns.  A root's residual is that of its
-square-free factor at the returned root, evaluated in the same fixed
-point: the one value that the tolerance gates and the CLI prints.
+working precision in fixed point, on (re, im) pairs of Python integers, and
+returns each root as a pair of exact dyadic rationals.  A root's residual is
+that of its square-free factor at the returned root, evaluated in the same
+fixed point: the one value that the tolerance gates and the CLI prints.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .polynomials import (
     DEFAULT_PRECISION,
@@ -33,9 +32,6 @@ from .polynomials import (
     taylor_shift,
 )
 
-if TYPE_CHECKING:
-    import mpmath
-
 DEFAULT_TOL = 1e-20  # the default residual tolerance from 75 bits up
 DEFAULT_INTERVAL_WIDTH = Fraction(1, 2 ** 40)
 
@@ -48,7 +44,7 @@ _MAX_SWEEPS = 400  # Aberth sweeps per phase before it counts as stalled
 class ConvergenceError(RuntimeError):
     """Aberth iteration failed to reach the residual tolerance.
 
-    `best` holds the last iterates as (root, residual) pairs.
+    `best` holds the last iterates as (re, im, residual) triples.
     """
 
     def __init__(self, message: str, best: list):
@@ -58,9 +54,24 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ComplexRoot:
-    value: mpmath.mpc
+    """The root re + i*im, rounded to the working precision: re and im are
+    exact dyadic rationals (Fractions with power-of-two denominators)."""
+
+    re: Fraction
+    im: Fraction
     residual: float
     multiplicity: int
+
+    def __complex__(self) -> complex:
+        return complex(_float(self.re), _float(self.im))
+
+
+def _float(x: Fraction) -> float:
+    """The float nearest x, or an infinity beyond the range of floats."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -533,8 +544,8 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
         for factor, mult in square_free_decomposition(cofactor):
             roots, diag = _aberth_roots(factor, precision, tol)
             diagnostics.append(diag)
-            complex_roots += [ComplexRoot(z, residual, mult) for z, residual in roots]
-    complex_roots.sort(key=lambda r: (float(r.value.real), float(r.value.imag)))
+            complex_roots += [ComplexRoot(*root, mult) for root in roots]
+    complex_roots.sort(key=lambda r: (_float(r.re), _float(r.im)))
     return RootSet(
         degree=p.degree,
         zero_multiplicity=k0,
@@ -545,15 +556,16 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
     )
 
 
-def _newton_polygon_starts(coeffs, exp, rect) -> list:
-    """Bini's starting points for the roots of sum(c_i x^i), c_0 != 0.
+def _newton_polygon_starts(coeffs) -> list[tuple[complex, int]]:
+    """Bini's starting points for the roots of sum(c_i x^i), c_0 != 0, as
+    pairs (z, k) that stand for z*2^k.
 
     Each edge (k0, k1) of the upper convex hull of the points (i, log|c_i|)
     contributes m = k1 - k0 points on the circle of radius
     (|c_k0|/|c_k1|)^(1/m), the typical modulus of m of the roots.  Angles
     are offset per edge so that the circles' points do not line up and no
-    start is real.  `exp` and `rect` (math/cmath or mpmath) fix the scalar
-    type.
+    start is real.  k is 0 where the radius is a finite nonzero double, and
+    otherwise the power of two nearest it.
     """
     d = len(coeffs) - 1
     hull: list[tuple[int, float]] = []
@@ -567,9 +579,12 @@ def _newton_polygon_starts(coeffs, exp, rect) -> list:
     starts = []
     for (k0, log0), (k1, log1) in zip(hull, hull[1:]):
         m = k1 - k0
-        radius = exp((log0 - log1) / m)
+        log_radius = (log0 - log1) / m
+        k = 0 if -745 < log_radius < 709.78 else round(log_radius / math.log(2))
+        radius = math.exp(log_radius - k * math.log(2))
         offset = 2 * math.pi * k0 / d + 0.7
-        starts += [rect(radius, 2 * math.pi * j / m + offset) for j in range(m)]
+        starts += [(cmath.rect(radius, 2 * math.pi * j / m + offset), k)
+                   for j in range(m)]
     return starts
 
 
@@ -677,33 +692,50 @@ def _fixed_div(ar: int, ai: int, br: int, bi: int, s: int) -> tuple[int, int]:
     return ((ar * br + ai * bi) << s) // norm, ((ai * br - ar * bi) << s) // norm
 
 
-def _float_phase(coeffs: tuple[int, ...]) -> tuple[int, list | None]:
-    """Double-precision Aberth iterates from the Newton-polygon starts, and
-    the sweeps they took; None when a coefficient or an iterate is not a
-    finite float."""
+def _float_phase(coeffs: tuple[int, ...], starts: list) -> tuple[int, list]:
+    """Double-precision Aberth iterates from the Newton-polygon `starts`,
+    as (z, 0) pairs, and the sweeps they took; the starts themselves and 0
+    sweeps when a coefficient, a start or an iterate is not a finite float."""
+    if any(k for _, k in starts):
+        return 0, starts
+    roots = [z for z, _ in starts]
     try:
-        fcoeffs = [float(c) for c in coeffs]
-        roots = _newton_polygon_starts(coeffs, math.exp, cmath.rect)
-        sweeps, _ = _aberth_sweeps(fcoeffs, roots)
+        sweeps, _ = _aberth_sweeps([float(c) for c in coeffs], roots)
     except OverflowError:
-        return 0, None
+        return 0, starts
     if not all(cmath.isfinite(z) for z in roots):
-        return 0, None
-    return sweeps, roots
+        return 0, starts
+    return sweeps, [(z, 0) for z in roots]
+
+
+def _round_bits(m: int, prec: int) -> int:
+    """The integer m rounded to `prec` significant bits, ties to even."""
+    shift = m.bit_length() - prec
+    if shift <= 0:
+        return m
+    q, r = divmod(m, 1 << shift)
+    return q + (2 * r > 1 << shift or 2 * r == 1 << shift and q & 1) << shift
+
+
+def _floor_scaled(x: float, e: int) -> int:
+    """floor(x * 2^e) for a finite float x and e >= 0."""
+    n, d = x.as_integer_ratio()
+    return (n << e) // d
 
 
 def _aberth_roots(f: IntPolynomial, precision: int, tol: float
-                  ) -> tuple[list[tuple[mpmath.mpc, float]], SolveDiagnostics]:
+                  ) -> tuple[list[tuple[Fraction, Fraction, float]], SolveDiagnostics]:
     """Roots of a square-free integer polynomial with f(0) != 0, all
-    simple, each with its residual, and what the solver did to find them.
+    simple, as (re, im, residual), and what the solver did to find them.
 
     Cheap double-precision sweeps bring the roots close (MPSolve's
     strategy); sweeps at the working precision prec, started from those
     iterates, then need only a few more.  Those sweeps (`_fixed_sweeps`),
     the Newton polish and the residuals run on pairs (re, im) of integers,
     the grid points (re + i*im)/2^P with P = prec + w + bitlen(d) + 8, w the
-    widest coefficient's bit length, over the integer coefficients; mpmath
-    only converts the starts in and rounds the roots out to prec bits.  On
+    widest coefficient's bit length, over the integer coefficients.  The
+    starts enter the grid floored, and each part of a root leaves it
+    rounded to prec significant bits, ties to even.  On
     the grid a sum is exact, a modulus is a floored square root, and a
     product or quotient of two points, in `_fixed_horner`, `_fixed_div` and
     the repulsion sum, floors each part to a multiple of 2^-P, so it is off
@@ -723,60 +755,54 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float
 
     The residual of a root is |f(z)| / (max|c_i| * max(1, |z|)^d) at the
     returned, rounded z, which lies on the grid: rounding a multiple of
-    2^-P to prec bits keeps it one, and so does rounding -c_0/c_1, whose
-    modulus exceeds 2^-w.  A conjugate pair is evaluated once, at its
-    member with Im >= 0, since |f(conj z)| = |f(z)| for real f.  A residual
-    above `tol` raises ConvergenceError.
+    2^-P to prec bits keeps it one.  The root -c_0/c_1 of a linear f, of
+    modulus above 2^-w, is floored on the grid with a sticky last bit, 8
+    bits below the rounding position, so it rounds as the exact quotient.
+    A conjugate pair is evaluated once, at its member with Im >= 0, since
+    |f(conj z)| = |f(z)| for real f.  A residual above `tol` raises
+    ConvergenceError.
     """
-    import mpmath
-
     d = f.degree
     prec = _working_precision(f, precision)
     w = max(abs(c).bit_length() for c in f.coeffs)
     scale = prec + w + d.bit_length() + 8
-
-    def fixed(x) -> int:
-        return mpmath.libmp.to_fixed(mpmath.mpf(x)._mpf_, scale)
-
-    with mpmath.workprec(prec):
-        if d == 1:
-            roots = [mpmath.mpc(-mpmath.mpf(f.coeffs[0]) / f.coeffs[1])]
-            diagnostics = SolveDiagnostics(d, 0, 0, True, prec, 0)
-        else:
-            float_sweeps, starts = _float_phase(f.coeffs)
-            if starts is None:
-                starts = _newton_polygon_starts(f.coeffs, mpmath.exp, mpmath.rect)
-            grid = [(fixed(z.real), fixed(z.imag)) for z in starts]
-            mp_sweeps, converged = _fixed_sweeps(f.coeffs, grid, prec, scale)
-            # Newton polish at full precision, up to 4 steps per root; a step
-            # that is 0 on the grid would repeat itself, so it ends the polish
-            dcoeffs = f.derivative().coeffs
-            polish_steps = 0
-            for j, (zr, zi) in enumerate(grid):
-                for _ in range(4):
-                    try:
-                        qr, qi = _fixed_div(*_fixed_horner(f.coeffs, zr, zi, scale),
-                                            *_fixed_horner(dcoeffs, zr, zi, scale), scale)
-                    except ZeroDivisionError:
-                        break
-                    polish_steps += 1
-                    if not (qr or qi):
-                        break
-                    zr, zi = zr - qr, zi - qi
-                grid[j] = zr, zi
-            roots = [mpmath.mpc(mpmath.mpf((zr, -scale)), mpmath.mpf((zi, -scale)))
-                     for zr, zi in grid]
-            diagnostics = SolveDiagnostics(d, float_sweeps, mp_sweeps, converged, prec,
-                                           polish_steps)
-        keys = [(fixed(z.real), abs(fixed(z.imag))) for z in roots]
+    if d == 1:  # -c_0/c_1, floored on the grid with a sticky bit
+        q, r = divmod(-f.coeffs[0] << scale, f.coeffs[1])
+        grid = [(q | bool(r), 0)]
+        diagnostics = SolveDiagnostics(d, 0, 0, True, prec, 0)
+    else:
+        float_sweeps, starts = _float_phase(f.coeffs, _newton_polygon_starts(f.coeffs))
+        grid = [(_floor_scaled(z.real, scale + k), _floor_scaled(z.imag, scale + k))
+                for z, k in starts]
+        mp_sweeps, converged = _fixed_sweeps(f.coeffs, grid, prec, scale)
+        # Newton polish at full precision, up to 4 steps per root; a step
+        # that is 0 on the grid would repeat itself, so it ends the polish
+        dcoeffs = f.derivative().coeffs
+        polish_steps = 0
+        for j, (zr, zi) in enumerate(grid):
+            for _ in range(4):
+                try:
+                    qr, qi = _fixed_div(*_fixed_horner(f.coeffs, zr, zi, scale),
+                                        *_fixed_horner(dcoeffs, zr, zi, scale), scale)
+                except ZeroDivisionError:
+                    break
+                polish_steps += 1
+                if not (qr or qi):
+                    break
+                zr, zi = zr - qr, zi - qi
+            grid[j] = zr, zi
+        diagnostics = SolveDiagnostics(d, float_sweeps, mp_sweeps, converged, prec,
+                                       polish_steps)
+    roots = [(_round_bits(zr, prec), _round_bits(zi, prec)) for zr, zi in grid]
     norm = max(abs(c) for c in f.coeffs)
-    residuals = {}
-    for re, im in set(keys):  # |f(z)| / (max|c_i| * max(1, |z|)^d) on the grid
+    residuals = {}  # |f(z)| / (max|c_i| * max(1, |z|)^d) on the grid
+    for re, im in {(re, abs(im)) for re, im in roots}:
         vr, vi = _fixed_horner(f.coeffs, re, im, scale)
         size = max(1 << scale, math.isqrt(re * re + im * im))
         residuals[re, im] = ((math.isqrt(vr * vr + vi * vi) << (scale * (d - 1)))
                              / (norm * size ** d))
-    found = [(z, residuals[key]) for z, key in zip(roots, keys)]
+    found = [(Fraction(re, 1 << scale), Fraction(im, 1 << scale), residuals[re, abs(im)])
+             for re, im in roots]
     worst = max(residuals.values())
     if worst > tol:
         state = "converged but inaccurate" if diagnostics.converged else "stalled"

@@ -227,7 +227,7 @@ def _root_spray(n: int) -> tuple[list[complex], list[float]]:
     """
     if n not in _spray_cache:
         root_set = all_roots(family_poly(FamilySpec("friendship", n)))
-        pts = [z for z in (complex(r.value) for r in root_set.complex_roots)
+        pts = [z for z in (complex(r) for r in root_set.complex_roots)
                if abs(z) > 0.15]
         im_max = max(3.0, max((abs(z.imag) for z in pts), default=0.0) + 0.5)
         curve = friendship_limit_curve(samples=4001, im_max=im_max)

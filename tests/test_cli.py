@@ -117,10 +117,11 @@ def test_poly_graph6_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_graph6_label_drops_trailing_line_break(capsys, fmt):
-    """parse_graph6 strips a trailing line break, and so does the label."""
+    """parse_graph6 strips a trailing line break, LF or CRLF as the file
+    readers do, and so does the label."""
     outputs = [run(capsys, "poly", "--graph6", g6, "--format", fmt)
-               for g6 in ("A_", "A_\n")]
-    assert outputs[0] == outputs[1]
+               for g6 in ("A_", "A_\n", "A_\r\n")]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0] == EXIT_OK
 
 
@@ -323,7 +324,7 @@ def test_equiv_missing_file(capsys):
 
 
 @pytest.mark.parametrize("grid", ["bogus", "nan:2:-3:3", "-inf:2:-3:3",
-                                  "-4:2:-3:inf"])
+                                  "-4:2:-3:inf", "-1.7e308:1.7e308:-1.7e308:1.7e308"])
 def test_malformed_grid(capsys, tmp_path, grid):
     code, _, err = run(capsys, "limits", "--family", "friendship",
                        "--n-max", "1", "--method", "trace", f"--grid={grid}",

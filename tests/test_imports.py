@@ -1,4 +1,5 @@
-"""What importing the package loads: numpy and mpmath only on first use."""
+"""What importing the package loads: numpy only on first use, and mpmath
+never."""
 
 import os
 import subprocess
@@ -35,10 +36,26 @@ def loaded_after(*argvs) -> list[str]:
     ((), []),
     ((["poly", "--family", "friendship:10"],
       ["roots", "--family", "cycle:30", "--real-only"]), []),
-    ((["roots", "--family", "friendship:6"],), ["mpmath"]),
+    ((["roots", "--family", "friendship:6"],), []),
+    ((["limits", "--family", "book", "--n-max", "2"],), ["numpy", "dompoly.limits"]),
+    ((["verify"],), ["numpy", "dompoly.limits"]),
 ])
 def test_cli_loads_heavy_modules_on_first_use(argvs, expected):
     assert loaded_after(*argvs) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--family", "friendship:6", "--format", "json"],
+    ["limits", "--family", "book", "--n-max", "2"],
+    ["verify"],
+])
+def test_cli_runs_without_mpmath(argv):
+    """mpmath is a test dependency only: with its import blocked, the
+    complex solver, the limit scatter and the verification suite print
+    what they print with it."""
+    run = f"from dompoly.cli import main\nraise SystemExit(main({argv!r}))\n"
+    blocked = "import sys\nsys.modules['mpmath'] = None\n"
+    assert fresh_stdout(blocked + run) == fresh_stdout(run)
 
 
 def test_every_exported_name_resolves():

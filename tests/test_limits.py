@@ -255,7 +255,8 @@ def test_grid_region_validation():
         GridRegion(1, -1, 0, 1, 10, 10)
     with pytest.raises(ValueError):
         GridRegion(-1, 1, 0, 1, 1, 10)
-    for bounds in ((math.nan, 2, -3, 3), (-math.inf, 2, -3, 3), (-4, 2, -3, math.inf)):
+    for bounds in ((math.nan, 2, -3, 3), (-math.inf, 2, -3, 3), (-4, 2, -3, math.inf),
+                   (-1.7e308, 1.7e308, -1, 1), (-1, 1, -1.7e308, 1.7e308)):
         with pytest.raises(ValueError, match="finite"):
             GridRegion(*bounds, 10, 10)
 

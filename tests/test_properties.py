@@ -3,8 +3,9 @@ low/high split against an enumeration oracle, the graph6 codec,
 exact division, the heuristic gcd, Taylor shifts, square-free
 decomposition, Horner evaluation (exact, and in the solver's fixed point
 against its error bound), the solver's fixed-point division (against the
-exact floors of both parts) and real-root isolation (against a Sturm count and against constructed real roots), on
-inputs drawn by hypothesis.
+exact floors of both parts), its rounding of roots and the CLI's printing
+of them (against mpmath) and real-root isolation (against a Sturm count
+and against constructed real roots), on inputs drawn by hypothesis.
 
 Examples are derandomized so every run draws the same inputs."""
 
@@ -12,12 +13,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_domination import oracle_poly, oracle_restricted
 
 from dompoly import domination
+from dompoly.cli import _nstr
 from dompoly.domination import (
     brute_force_poly,
     recurrence_poly_odot,
@@ -37,6 +40,7 @@ from dompoly.roots import (
     _fixed_horner,
     _isolate,
     _refine,
+    _round_bits,
     _sign_at,
     count_real_roots_in,
     real_roots_exact,
@@ -399,3 +403,37 @@ def test_power_equals_repeated_products(valuation, coeffs, n):
     for _ in range(n):
         product = product * base
     assert base ** n == product
+
+
+mantissas = st.integers(-2 ** 700, 2 ** 700)
+
+
+@deterministic
+@given(mantissas, st.integers(1, 800))
+@example(5, 2)  # a tie rounds to even, down here and up below
+@example(7, 2)
+@example(-(2 ** 300) - 2 ** 255, 256)
+def test_root_rounding_matches_mpmath(m, prec):
+    """A root part m/2^P leaves the solver rounded to prec significant
+    bits, ties to even, as mpmath rounds mpf((m, -P)) at that precision."""
+    rounded = _round_bits(m, prec)
+    with mpmath.workprec(prec):
+        assert mpmath.mpf((rounded, -40)) == mpmath.mpf((m, -40))
+    assert abs(rounded).bit_length() - (abs(rounded) & -abs(rounded)).bit_length() < prec
+    assert abs(rounded - m) <= abs(m) >> prec
+
+
+@settings(deterministic, max_examples=400)
+@given(mantissas, st.integers(-13000, 13000))
+@example((1 << 170) + 1, -200)  # 9.31322574615478515625...e-10: digit 21 is a 5
+@example(10 ** 21 - 1, 0)  # twenty-one 9s round up to 1.0e+21
+@example(10 ** 19, 0)  # the widest fixed form
+@example(1, -14)  # 6.103515625e-5 prints in fixed form
+@example(1, -17)  # 7.62939453125e-6 does not
+def test_printer_matches_mpmath_nstr(m, e):
+    """The CLI prints the dyadic m*2^e as mpmath.nstr(x, 20,
+    strip_zeros=True) does, also where the binary exponent exceeds 3500
+    in size and mpmath divides by a power of ten first."""
+    with mpmath.workprec(max(abs(m).bit_length(), 1)):
+        x = mpmath.mpf((m, e))
+    assert _nstr(Fraction(m) * Fraction(2) ** e) == mpmath.nstr(x, 20, strip_zeros=True)
