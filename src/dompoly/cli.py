@@ -72,9 +72,10 @@ EXIT_NUMERIC = 5
 PRECISION_ENV = "DOMPOLY_PRECISION"
 MAX_RESOLUTION = 2000  # the tracer grid costs O(resolution^2)
 # each analytic piece holds --samples points, and time, memory and file size
-# grow linearly: at 10^5 a book JSON export takes 1.4 s, 151 MB peak RSS and
-# writes 29 MB (2-core x86-64 VM, CPython 3.11); at 10^6, 15 s and 1.2 GB
+# grow linearly: at 10^5 a book JSON export takes 2.3 s, 147 MB peak RSS and
+# writes 29 MB (2-core x86-64 VM, CPython 3.11; json.dump took 3.7 s that day)
 MAX_SAMPLES = 100_000
+_JSON_CHUNK = 4096  # pieces joined per write by _write_json
 
 
 def _default_precision() -> int:
@@ -278,6 +279,68 @@ def _emit_csv(args, header, rows) -> None:
             fh.write("\n")
 
 
+class _Verbatim(str):
+    """A JSON string value with nothing to escape, such as a coefficient
+    list or a polynomial's text, which `_write_json` writes as it is."""
+
+
+def _write_json(fh, obj) -> None:
+    """Write to fh what json.dumps(obj, indent=2) + "\n" would.
+
+    Dicts and lists are laid out here, each string quoted by json's C
+    escaper, and a `_Verbatim` string is passed to fh.write itself, with no
+    copy.  The pieces are joined and written every _JSON_CHUNK pieces, so
+    the document is never built in memory whole.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    buf = []
+
+    def flush(tail: str = "") -> None:
+        fh.write("".join(buf) + tail)
+        buf.clear()
+
+    def value(v, indent: str) -> None:
+        # a str item is quoted in its container's loop, one call fewer
+        if isinstance(v, dict) and v:
+            inner = indent + "  "
+            sep, comma = "{\n" + inner, ",\n" + inner
+            for key, item in v.items():  # quote raises TypeError on a non-str key
+                buf.append(sep + quote(key) + ": ")
+                if type(item) is str:
+                    buf.append(quote(item))
+                else:
+                    value(item, inner)
+                if len(buf) >= _JSON_CHUNK:
+                    flush()
+                sep = comma
+            buf.append("\n" + indent + "}")
+        elif isinstance(v, list) and v:
+            inner = indent + "  "
+            sep, comma = "[\n" + inner, ",\n" + inner
+            for item in v:
+                buf.append(sep)
+                if type(item) is str:
+                    buf.append(quote(item))
+                else:
+                    value(item, inner)
+                if len(buf) >= _JSON_CHUNK:
+                    flush()
+                sep = comma
+            buf.append("\n" + indent + "]")
+        elif isinstance(v, _Verbatim):
+            flush('"')
+            fh.write(v)
+            buf.append('"')
+        else:  # a scalar or an empty container, on one line
+            buf.append(json.dumps(v))
+
+    try:
+        value(obj, "")
+    finally:
+        del value  # a closure over itself: the cycle would keep fh and buf alive
+    flush("\n")
+
+
 @contextlib.contextmanager
 def _output(args):
     """The --output file, opened for writing, or else stdout."""
@@ -355,7 +418,8 @@ def cmd_poly(args) -> int:
             },
             "verdict": verdict,
         } for label, polys, verdict in results]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        with _output(args) as fh:
+            _write_json(fh, payload)
     elif args.format == "csv":
         _emit_csv(args, ["input", "method", "degree", "coefficients"], (
             [label, name, p.degree, p.to_coeff_string()]
@@ -374,7 +438,8 @@ def cmd_poly(args) -> int:
 
 def _poly_json(p: IntPolynomial) -> dict[str, str]:
     digits = [str(c) for c in p.coeffs]
-    return {"coefficients": ",".join(digits), "text": terms_text(p.coeffs, digits)}
+    return {"coefficients": _Verbatim(",".join(digits)),
+            "text": _Verbatim(terms_text(p.coeffs, digits))}
 
 
 # -- roots ------------------------------------------------------------------
@@ -414,7 +479,7 @@ def cmd_roots(args) -> int:
         for label, poly, intervals, ints, root_set in reports:
             entry = {
                 "input": label,
-                "polynomial": poly.to_coeff_string(),
+                "polynomial": _Verbatim(poly.to_coeff_string()),
                 "precision_bits": precision,
                 "tolerance": repr(tol),
                 "integer_roots": ints,
@@ -431,7 +496,8 @@ def cmd_roots(args) -> int:
                     "multiplicity": r.multiplicity,
                 } for r in root_set.complex_roots]
             payload.append(entry)
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        with _output(args) as fh:
+            _write_json(fh, payload)
     elif args.format == "csv":
         rows = []
         for label, poly, intervals, ints, root_set in reports:
@@ -549,8 +615,7 @@ def cmd_limits(args) -> int:
         }
         path = os.path.join(args.output_dir, f"{args.family}_limits.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            _write_json(fh, payload)
         lines.append(f"wrote {path}")
     lines.append("max root modulus by member (exploratory growth data):")
     for n, biggest in max_modulus:
@@ -590,7 +655,8 @@ def cmd_equiv(args) -> int:
             } for w in report.witness_pairs],
             "skipped": [list(item) for item in report.skipped],
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        with _output(args) as fh:
+            _write_json(fh, payload)
     elif args.format == "csv":
         per_order: dict[int, list[int]] = {}
         for poly, members in report.classes.items():

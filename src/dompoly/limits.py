@@ -31,6 +31,9 @@ BOOK_JUNCTION_RE = -1.5 - math.sqrt(2) / 2  # where the book arcs meet
 
 _DOMINANCE_SLACK = 1e-9
 _BISECTION_STEPS = 200
+# the tracer's band of doubt in squared moduli, and their trusted range
+_DOUBT = 2.0 ** -46
+_SQUARE_MIN, _SQUARE_MAX = 2.0 ** -400, 2.0 ** 400
 _CHORDAL_SAMPLES = 513  # odd: the real-axis vertices are among the samples
 _CHORDAL_IM_MAX = 3.0  # |Im w| sampled uniformly below this, in 1/Im w beyond
 
@@ -54,15 +57,16 @@ class CurvePiece:
 
         A polyline (connected, at least two samples) gets its segments
         instead: start re, start im, step re, step im and squared length.
-        The squared length is Python's ``abs(b - a) ** 2`` (libm pow), which
-        differs from ``h * h`` in the last bit for about 1 in 1,300 lengths.
+        The squared length is Python's ``abs(b - a) ** 2``: np.float_power
+        calls libm pow as ``**`` does, where h * h and np.power differ from
+        it in the last bit for about 1 in 1,200 lengths.
         """
-        re = np.array([z.real for z in self.points], dtype=float)
-        im = np.array([z.imag for z in self.points], dtype=float)
+        z = np.array(self.points, dtype=complex)
+        re, im = z.real, z.imag
         if not (self.connected and len(self.points) >= 2):
             return re, im
         step_re, step_im = re[1:] - re[:-1], im[1:] - im[:-1]
-        length2 = np.array([h ** 2 for h in np.hypot(step_re, step_im).tolist()])
+        length2 = np.float_power(np.hypot(step_re, step_im), 2.0)
         return re[:-1], im[:-1], step_re, step_im, length2
 
 
@@ -168,7 +172,10 @@ def _unit_steps(count: int) -> np.ndarray:
 
 
 def _complexes(re: np.ndarray, im: np.ndarray) -> tuple[complex, ...]:
-    return tuple(map(complex, re.tolist(), im.tolist()))
+    """complex(re[k], im[k]) for each k: the parts are copied, not computed."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return tuple(z.tolist())
 
 
 # -- generic BKW tracer ----------------------------------------------------------
@@ -204,9 +211,10 @@ def bkw_limit_points(family: ExponentialFamily, grid: GridRegion | None = None,
     the remaining lambdas.  Isolated points are roots of each alpha_j at
     which lambda_j strictly dominates.
 
-    All pairs are traced in one pass over float64 arrays, and each array
-    operation is the one Python complex arithmetic performs on a single
-    point, so every point is bit-identical to a point-by-point evaluation.
+    All pairs are traced in one pass over float64 arrays.  Grid signs come
+    from squared moduli where those provably give the gap's sign; every
+    gap, midpoint and dominance test is the one Python complex arithmetic
+    computes, so every point is bit-identical to a pointwise evaluation.
 
     Rejects degenerate families where lambda_i = +-lambda_j for some pair
     (the locus would be the whole plane).
@@ -230,13 +238,19 @@ def bkw_limit_points(family: ExponentialFamily, grid: GridRegion | None = None,
 
 
 def _modulus(coeffs, re, im) -> np.ndarray:
-    """|p(re + i*im)| for the integer coefficients `coeffs` (low to high), at
-    float64 arrays re and im or scalars that broadcast against them.
+    """|p(re + i*im)| for the integer coefficients `coeffs` (low to high):
+    at a finite point abs(horner(...)) to the bit, as np.hypot is the libm
+    hypot of abs(complex), blind to zero signs."""
+    return np.hypot(*_parts(coeffs, re, im))
+
+
+def _parts(coeffs, re, im) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of p(re + i*im), at float64 arrays re and im or scalars
+    that broadcast against them; new arrays, if either is one.
 
     Horner's rule runs on the two parts with CPython's float64 operations
     for complex, from the leading coefficient (horner's 0*z*z + c_d at a
-    finite z), so at a finite point the modulus is abs(horner(...)) to the
-    bit: np.hypot is the libm hypot of abs(complex), blind to zero signs.
+    finite z), so at a finite point the parts are horner(...)'s to the bit.
 
     numpy complex128 is not used: its SIMD kernels round differently.  With
     numpy 2.4 on an AVX-512 x86-64 machine, 92,954 of 200,000 complex128
@@ -244,12 +258,13 @@ def _modulus(coeffs, re, im) -> np.ndarray:
     last bit, and np.abs(horner((1, 2, 1), Z)) differed from abs(horner(...))
     on 424,567 of 1,000,000 points of the default tracer region.
     """
-    if len(coeffs) == 1:  # hypot(c, 0.0) is |c|
-        return np.full(np.broadcast(re, im).shape, abs(float(coeffs[0])))
+    if len(coeffs) == 1:
+        shape = np.broadcast(re, im).shape
+        return np.full(shape, float(coeffs[0])), np.zeros(shape)
     acc_re, acc_im = float(coeffs[-1]), 0.0
     for c in reversed(coeffs[:-1]):
         acc_re, acc_im = acc_re * re - acc_im * im + float(c), acc_re * im + acc_im * re
-    return np.hypot(acc_re, acc_im)
+    return acc_re, acc_im
 
 
 def _reject_degenerate(lambdas: Sequence[IntPolynomial]) -> None:
@@ -294,28 +309,67 @@ def _trace_pairs(coeffs, pairs, re: np.ndarray, im: np.ndarray, tol: float):
     that pair; every edge from another node whose gap changes sign is
     bisected, the edges of all pairs at once.  Points come by pair, then in
     row-major node order: a node, or else its right edge before its down edge.
+
+    Signs come from s = re^2 + im^2 of `_parts`: s is within a relative
+    2u(1 + u) of their exact squared modulus (u = 2^-53) and libm hypot
+    within 1 ulp of their modulus, so |s_i - s_j| > 2^-50 (s_i + s_j) has
+    the sign of the gap; the band _DOUBT is 16 times that.  With both s in
+    [2^-400, 2^400] too, no product of two gaps or s-differences underflows
+    or overflows, so each sign-change test reads as on the gaps.  Any other
+    node (NaN and inf fail both tests) and its four neighbours get the gap
+    from `_modulus`, so an edge at such a node compares two gaps.
     """
-    moduli = [_modulus(c, re[np.newaxis, :], im[:, np.newaxis]) for c in coeffs]
-    hits = []
-    for p, (i, j) in enumerate(pairs):
-        gap = moduli[i] - moduli[j]
-        hit = np.zeros(gap.shape + (3,), dtype=bool)
-        hit[:, :, 0] = gap == 0.0
+    cols = len(re)
+    squares = []
+    for c in coeffs:  # in place: the grid arrays are the largest here
+        sq, part = _parts(c, re[np.newaxis, :], im[:, np.newaxis])
+        sq *= sq
+        sq += np.multiply(part, part, out=part)
+        squares.append(sq)
+        del part
+    in_range = [(sq >= _SQUARE_MIN) & (sq <= _SQUARE_MAX) for sq in squares]
+    keys = []
+    for i, j in pairs:
+        gap = squares[i] - squares[j]
+        band = squares[i] + squares[j]
+        band *= _DOUBT
+        sure = gap > band
+        np.negative(band, out=band)
+        sure |= gap < band
+        del band
+        sure &= in_range[i]
+        sure &= in_range[j]
+        if not sure.all():
+            doubt = ~sure
+            near = doubt.copy()  # every node in doubt or next to one
+            near[1:] |= doubt[:-1]
+            near[:-1] |= doubt[1:]
+            near[:, 1:] |= doubt[:, :-1]
+            near[:, :-1] |= doubt[:, 1:]
+            row, col = np.nonzero(near)
+            at_re, at_im = re[col], im[row]
+            gap[row, col] = (_modulus(coeffs[i], at_re, at_im)
+                             - _modulus(coeffs[j], at_re, at_im))
         # a product is never negative at a zero node, so those skip their edges
-        hit[:, :-1, 1] = gap[:, :-1] * gap[:, 1:] < 0.0
-        hit[:-1, :, 2] = gap[:-1, :] * gap[1:, :] < 0.0
-        row, col, kind = np.nonzero(hit)
-        hits.append((np.full(len(row), p), row, col, kind, gap[row, col]))
-    pair, row, col, kind, ga = (np.concatenate(v) for v in zip(*hits))
+        right = np.flatnonzero(gap[:, :-1] * gap[:, 1:] < 0.0)
+        right += right // (cols - 1)  # from the (rows, cols - 1) edge grid
+        down = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
+        keys.append(np.sort(np.concatenate(
+            (3 * np.flatnonzero(gap == 0.0), 3 * right + 1, 3 * down + 2))))
+    pair = np.repeat(np.arange(len(pairs)), [len(k) for k in keys])
+    node, kind = np.divmod(np.concatenate(keys), 3)
+    row, col = np.divmod(node, cols)
     first, second = (np.array(side)[pair] for side in zip(*pairs))
     pts_re, pts_im = re[col], im[row]
     found = np.ones(len(pair), dtype=bool)
     edge = kind > 0
     row, col, kind = row[edge], col[edge], kind[edge]
+    _, ga_first, ga_second = _pair_moduli(coeffs, first[edge], second[edge],
+                                          pts_re[edge], pts_im[edge])
     pts_re[edge], pts_im[edge], found[edge] = _bisect_edges(
         coeffs, first[edge], second[edge],
         re[col], im[row], re[col + (kind == 1)], im[row + (kind == 2)],
-        ga[edge], tol)
+        ga_first - ga_second, tol)
     keep = found & _dominant(coeffs, first, second, pts_re, pts_im)
     return pair[keep], pts_re[keep], pts_im[keep]
 
@@ -341,9 +395,11 @@ def _bisect_edges(coeffs, first, second, a_re, a_im, b_re, b_im, ga, tol):
         _, mi, mj = _pair_moduli(coeffs, first, second, m_re, m_im)
         gm = mi - mj
         close = np.abs(gm) <= tol
+        # an edge is axis-aligned, so one term of its width is 0 and the sum
+        # is hypot's width, or else neither is finite and both fail the test
+        width = np.abs(b_re - a_re) + np.abs(b_im - a_im)
         # fmax(NaN, 1.0) is 1.0, as Python's max(1.0, NaN) is
-        stop = close | (np.hypot(b_re - a_re, b_im - a_im)
-                        < 1e-15 * np.fmax(np.hypot(m_re, m_im), 1.0))
+        stop = close | (width < 1e-15 * np.fmax(np.hypot(m_re, m_im), 1.0))
         if stop.any():  # compact the lanes
             done, go = lane[stop], ~stop
             mid_re[done], mid_im[done] = m_re[stop], m_im[stop]
@@ -451,8 +507,8 @@ def chordal_distance_to_hyperbola(z: complex) -> float:
 
         # chi at every sample at once, with the same float64 operations
         w_re = -1 + sign * np.sqrt(0.5 + bs * bs)
-        # Python's ** is libm pow, which numpy's square differs from in the last bit
-        w2 = np.array([h ** 2 for h in np.hypot(w_re, bs).tolist()])
+        # libm pow, as Python's ** (numpy's square differs in the last bit)
+        w2 = np.float_power(np.hypot(w_re, bs), 2.0)
         v = np.concatenate(([to_infinity], 2 * np.hypot(z.real - w_re, z.imag - bs)
                             / (z_scale * np.sqrt(1 + w2)), [to_infinity]))
         # samples no larger than either neighbour (an end has one)

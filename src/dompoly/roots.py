@@ -545,7 +545,8 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
             roots, diag = _aberth_roots(factor, precision, tol)
             diagnostics.append(diag)
             complex_roots += [ComplexRoot(*root, mult) for root in roots]
-    complex_roots.sort(key=lambda r: (_float(r.re), _float(r.im)))
+    # the exact parts break ties between parts beyond the range of doubles
+    complex_roots.sort(key=lambda r: (_float(r.re), _float(r.im), r.re, r.im))
     return RootSet(
         degree=p.degree,
         zero_multiplicity=k0,

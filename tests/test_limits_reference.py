@@ -18,13 +18,18 @@ import dompoly.limits
 from dompoly.domination import ExponentialFamily, book_family, friendship_family
 from dompoly.limits import (
     _DOMINANCE_SLACK,
+    _DOUBT,
+    _SQUARE_MAX,
+    _SQUARE_MIN,
     BOOK_JUNCTION_RE,
     CurvePiece,
     GridRegion,
     LimitCurve,
+    _complexes,
     _isolated_points,
     _lerp,
     _modulus,
+    _parts,
     _reject_degenerate,
     bkw_limit_points,
     book_limit_curve,
@@ -266,6 +271,43 @@ def test_tracer_extreme_grids_silent_and_bit_identical(bound):
     assert curve_bits(traced) == curve_bits(expected)
 
 
+# the locus Re x = 0 where |x|^300 is so small that the product of two
+# squared-modulus gaps would underflow to 0
+TINY = ExponentialFamily((ONE, ONE), (X ** 300 * (ONE + X), X ** 300 * (ONE - X)))
+# grids whose nodes are in doubt off the locus: a few ulps either side of
+# SYMMETRIC's locus Re x = -1, where the squared moduli of x and x + 2 differ
+# by less than the band (the second has a node whose two moduli round to one
+# double), and near TINY's, with squared moduli below 2^-400
+NEAR_LOCUS = [
+    (SYMMETRIC, -1.0, GridRegion(-1.0 - 2.0 ** -50, -1.0 + 2.0 ** -50, -3.0, 3.0, 3, 4)),
+    (SYMMETRIC, -1.0, GridRegion(-1.0 - 2.0 ** -49, -1.0 + 2.0 ** -51, -2.0, 1.0, 7, 6)),
+    (SYMMETRIC, -1.0, GridRegion(-1.0 - 2.0 ** -47, 1.0, -1.0, 1.0, 2, 3)),
+    (TINY, 0.0, GridRegion(-0.25, 0.3, 0.5, 0.7, 5, 3)),
+    (TINY, 0.0, GridRegion(-0.7, 0.3, 0.4, 0.6, 4, 3)),
+    # an edge from |x^300| ~ 2^-750 to 2^-200, where only a gap at each end
+    # keeps the product of the two from underflowing
+    (TINY, 0.0, GridRegion(-0.15, 1.45, -0.05, 0.05, 2, 2))]
+
+
+@pytest.mark.parametrize("family, locus_re, grid", NEAR_LOCUS)
+def test_tracer_nodes_in_doubt_off_the_locus(family, locus_re, grid):
+    lambdas = [lam.coeffs for lam in family.lambdas]
+    doubt = 0
+    for r in range(grid.im_cells + 1):
+        for c in range(grid.re_cells + 1):
+            z = complex(_lerp(grid.re_min, grid.re_max, c / grid.re_cells),
+                        _lerp(grid.im_min, grid.im_max, r / grid.im_cells))
+            assert z.real != locus_re
+            si, sj = (w.real * w.real + w.imag * w.imag
+                      for w in (horner(lam, z) for lam in lambdas))
+            doubt += (abs(si - sj) <= _DOUBT * (si + sj)
+                      or not _SQUARE_MIN <= min(si, sj) <= max(si, sj) <= _SQUARE_MAX)
+    assert doubt > 0
+    traced = bkw_limit_points(family, grid)
+    assert traced.pieces
+    assert curve_bits(traced) == curve_bits(reference_bkw_limit_points(family, grid))
+
+
 def test_tracer_default_region_bit_identical():
     for family in (friendship_family(), book_family()):
         grid = GridRegion(re_cells=60, im_cells=45)
@@ -291,13 +333,39 @@ def test_analytic_curves_bit_identical_to_scalar_reference(samples):
 # -- distances ------------------------------------------------------------------------
 
 
-def test_cached_squared_lengths_are_pythons():
+_CURVES_4001 = friendship_limit_curve(4001).pieces + book_limit_curve(4001).pieces
+_SEGMENT_PARTS = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e150, 1e150),
+                           st.sampled_from([0.0, -0.0, 1e-300, 5e-324]))
+
+
+@deterministic
+@given(st.lists(st.builds(complex, _SEGMENT_PARTS, _SEGMENT_PARTS),
+                min_size=2, max_size=50))
+@example(_CURVES_4001[0].points)
+@example(_CURVES_4001[1].points)
+@example(_CURVES_4001[2].points)
+@example(_CURVES_4001[3].points)
+@example(_CURVES_4001[4].points)
+def test_cached_squared_lengths_are_pythons(points):
     """Python's abs(b - a) ** 2 calls libm pow, which is not always h * h."""
-    for curve in (friendship_limit_curve(4001), book_limit_curve(4001)):
-        for piece in curve.pieces:
-            length2 = piece._arrays[4].tolist()
-            expected = [abs(b - a) ** 2 for a, b in zip(piece.points, piece.points[1:])]
-            assert [x.hex() for x in length2] == [x.hex() for x in expected]
+    length2 = CurvePiece("segments", tuple(points))._arrays[4].tolist()
+    expected = [abs(b - a) ** 2 for a, b in zip(points, points[1:])]
+    assert [x.hex() for x in length2] == [x.hex() for x in expected]
+
+
+def test_complexes_keep_the_parts_as_they_are():
+    """Zero signs, infinities and NaNs come through as complex(re, im)
+    keeps them."""
+    parts = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -1.5]
+    re = np.array([a for a in parts for _ in parts])
+    im = np.array([b for _ in parts for b in parts])
+    got = _complexes(re, im)
+    assert all(type(z) is complex for z in got)
+    expected = [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
+    assert [(math.copysign(1.0, z.real), math.copysign(1.0, z.imag), repr(z))
+            for z in got] == \
+        [(math.copysign(1.0, z.real), math.copysign(1.0, z.imag), repr(z))
+         for z in expected]
 
 
 def _query_points():
@@ -395,14 +463,22 @@ def test_modulus_matches_python_complex(points):
 
 
 def test_tracer_evaluates_each_lambda_once_per_bisection_step(monkeypatch):
-    """One bisection loop serves every pair of the book family: the kernel
-    runs once per lambda at the grid nodes, once per lambda at each step, as
-    many steps as the scalar reference's longest lane, and once per lambda
-    in the dominance test."""
+    """One bisection loop serves every pair of the book family.  The kernel
+    runs once per lambda on the grid; then, for each pair with nodes in
+    doubt, once per lambda of the pair there; then once per lambda at the
+    edge starts, once per lambda at each step, as many steps as the scalar
+    reference's longest lane, and once per lambda in the dominance test."""
     family, grid = book_family(), GridRegion(re_cells=30, im_cells=30)
     coeffs = [lam.coeffs for lam in family.lambdas]
-    calls, lanes = [], []
-    modulus, bisect_edge = _modulus, _bisect_edge
+    pairs = [(coeffs[i], coeffs[j]) for i in range(len(coeffs))
+             for j in range(i + 1, len(coeffs))]
+    grid_calls, calls, lanes = [], [], []
+    parts, modulus, bisect_edge = _parts, _modulus, _bisect_edge
+
+    def counted_parts(c, re, im):
+        if np.ndim(re) == 2:  # the grid's row of columns, not a list of points
+            grid_calls.append(c)
+        return parts(c, re, im)
 
     def counted_modulus(c, re, im):
         calls.append((c, re))
@@ -415,14 +491,23 @@ def test_tracer_evaluates_each_lambda_once_per_bisection_step(monkeypatch):
         finally:
             lanes.append(len(steps))
 
+    monkeypatch.setattr(dompoly.limits, "_parts", counted_parts)
     monkeypatch.setattr(dompoly.limits, "_modulus", counted_modulus)
     monkeypatch.setattr(sys.modules[__name__], "_bisect_edge", counted_bisect_edge)
     assert curve_bits(bkw_limit_points(family, grid)) == \
         curve_bits(reference_bkw_limit_points(family, grid))
-    k = len(coeffs)
-    assert len(lanes) > 0 and len(calls) == k * (max(lanes) + 2)
-    for start in range(0, len(calls), k):
-        step = calls[start:start + k]
-        assert [c for c, _ in step] == coeffs
-        # all lambdas of one step see the same points
-        assert start == 0 or all(re is step[0][1] for _, re in step)
+    assert grid_calls == coeffs
+    # consecutive calls at the same points form one batch
+    batches = []
+    for c, re in calls:
+        if batches and re is batches[-1][1]:
+            batches[-1][0].append(c)
+        else:
+            batches.append(([c], re))
+    doubt = [tuple(cs) for cs, _ in batches if len(cs) == 2]
+    # the exact ties on the real axis are nodes in doubt
+    assert doubt and doubt == sorted(doubt, key=pairs.index)
+    assert len(set(doubt)) == len(doubt) and set(doubt) <= set(pairs)
+    steps = batches[len(doubt):]
+    assert all(cs == coeffs for cs, _ in steps)
+    assert len(lanes) > 0 and len(steps) == max(lanes) + 2

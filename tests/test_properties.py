@@ -4,13 +4,17 @@ exact division, the heuristic gcd, Taylor shifts, square-free
 decomposition, Horner evaluation (exact, and in the solver's fixed point
 against its error bound), the solver's fixed-point division (against the
 exact floors of both parts), its rounding of roots and the CLI's printing
-of them (against mpmath) and real-root isolation (against a Sturm count
-and against constructed real roots), on inputs drawn by hypothesis.
+of them (against mpmath), real-root isolation (against a Sturm count
+and against constructed real roots) and the CLI's JSON writer (against
+json.dumps), on inputs drawn by hypothesis.
 
 Examples are derandomized so every run draws the same inputs."""
 
+import gc
 import itertools
+import json
 import math
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 from test_domination import oracle_poly, oracle_restricted
 
 from dompoly import domination
-from dompoly.cli import _nstr
+from dompoly.cli import _JSON_CHUNK, _Verbatim, _nstr, _write_json
 from dompoly.domination import (
     brute_force_poly,
     recurrence_poly_odot,
@@ -437,3 +441,73 @@ def test_printer_matches_mpmath_nstr(m, e):
     with mpmath.workprec(max(abs(m).bit_length(), 1)):
         x = mpmath.mpf((m, e))
     assert _nstr(Fraction(m) * Fraction(2) ** e) == mpmath.nstr(x, 20, strip_zeros=True)
+
+
+class _RecordingFile:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _verbatims(obj):
+    if isinstance(obj, _Verbatim):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _verbatims(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _verbatims(value)
+
+
+# quotes, backslashes, control, DEL, non-ASCII and astral characters
+json_text = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                              st.characters()))
+digit_lists = st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1).map(
+    lambda cs: _Verbatim(",".join(map(str, cs))))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), json_text, digit_lists),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(json_text, inner, max_size=5)),
+    max_leaves=40)
+
+
+@deterministic
+@given(json_values)
+@example({"input": "book:1", "polynomials": {"closed": {
+    "coefficients": _Verbatim("0,1,4,4,1"), "text": _Verbatim("x + 4x^2 + 4x^3 + x^4")}},
+    "verdict": "AGREE", "empty": [{}, [], ""]})
+def test_json_writer_matches_json_dumps(obj):
+    """The CLI's writer writes json.dumps(obj, indent=2) + "\\n", and hands
+    each marked string to write itself, not a copy."""
+    fh = _RecordingFile()
+    _write_json(fh, obj)
+    assert "".join(fh.writes) == json.dumps(obj, indent=2) + "\n"
+    marked = [w for w in fh.writes if isinstance(w, _Verbatim)]
+    expected = list(_verbatims(obj))
+    assert len(marked) == len(expected)
+    assert all(w is v for w, v in zip(marked, expected))
+
+
+def test_json_writer_writes_in_chunks():
+    obj = [str(k) for k in range(3 * _JSON_CHUNK)]
+    fh = _RecordingFile()
+    _write_json(fh, obj)
+    assert "".join(fh.writes) == json.dumps(obj, indent=2) + "\n"
+    assert len(fh.writes) >= 3
+
+
+def test_json_writer_keeps_no_reference_to_the_file():
+    """Without the cyclic collector the file goes as soon as its caller
+    drops it: the writer leaves no reference cycle that holds it."""
+    gc.disable()
+    try:
+        fh = _RecordingFile()
+        gone = weakref.ref(fh)
+        _write_json(fh, {"a": [1, {"b": ["c", None]}], "d": _Verbatim("1,2")})
+        del fh
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -421,6 +421,16 @@ def test_starts_beyond_the_range_of_doubles(p, scale):
         assert r.re ** 2 + (r.im - expect) ** 2 < (modulus / 2 ** 200) ** 2
 
 
+@pytest.mark.parametrize("p", [X ** 2 + (2 ** 3000) * ONE, (2 ** 3000) * X ** 2 + ONE])
+def test_roots_beyond_the_range_of_doubles_sort_as_inside_it(p):
+    """Parts below the range of doubles round to +-0.0, which compare equal,
+    so the exact parts decide the order; a conjugate pair then lists its
+    lower root first, as it does inside the range and above it (+-inf)."""
+    signs = [r.im > 0 for r in all_roots(X ** 2 + ONE).complex_roots]
+    assert signs == [False, True]
+    assert [r.im > 0 for r in all_roots(p).complex_roots] == signs
+
+
 @pytest.mark.parametrize(
     "kind, n",
     [("friendship", n) for n in range(1, 13)]
