@@ -32,8 +32,6 @@ from .equivalence import (
     verify_friendship_not_unique,
 )
 from .graphs import (
-    DEFAULT_CAP,
-    CapExceededError,
     FamilySpec,
     Graph,
     Graph6ParseError,
@@ -70,11 +68,9 @@ from .roots import (
 
 __all__ = [
     "BRUTE_FORCE_BUDGET_BITS",
-    "CapExceededError",
     "ComplexRoot",
     "ConvergenceError",
     "CurvePiece",
-    "DEFAULT_CAP",
     "DEFAULT_PRECISION",
     "EnumerationBudgetError",
     "EquivalenceReport",

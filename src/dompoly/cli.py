@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import itertools
 import json
@@ -262,21 +261,26 @@ def _emit(args, text: str) -> None:
         fh.write(text)
 
 
-def _emit_csv(args, header, rows) -> None:
-    """Write the header and rows as csv.writer's default dialect does with
-    "\n" line ends: a field holding a comma, a quote or a line break goes in
-    quotes, its quotes doubled.  Each field goes straight to the output, as
+def _write_csv(fh, header, rows) -> None:
+    """Write the header and rows to fh as csv.writer's default dialect does
+    with "\n" line ends: a field holding a comma, a quote or a line break
+    goes in quotes, its quotes doubled.  Each field goes straight to fh, as
     it is: csv.writer would first copy a whole row into a buffer of four
     bytes a character, and a polynomial's coefficients are one field."""
-    with _output(args) as fh:
-        for row in itertools.chain([header], rows):
-            for k, value in enumerate(row):
-                text = str(value)
-                quote = '"' if any(c in text for c in ',"\n\r') else ""
-                fh.write(("," if k else "") + quote)
-                fh.write(text.replace('"', '""') if quote else text)
-                fh.write(quote)
-            fh.write("\n")
+    write = fh.write
+    for row in itertools.chain([header], rows):
+        sep = ""
+        for value in row:
+            text = str(value)
+            if "," in text or '"' in text or "\n" in text or "\r" in text:
+                write(sep + '"')
+                write(text.replace('"', '""'))
+                write('"')
+            else:
+                write(sep)
+                write(text)
+            sep = ","
+        write("\n")
 
 
 class _Verbatim(str):
@@ -421,9 +425,10 @@ def cmd_poly(args) -> int:
         with _output(args) as fh:
             _write_json(fh, payload)
     elif args.format == "csv":
-        _emit_csv(args, ["input", "method", "degree", "coefficients"], (
-            [label, name, p.degree, p.to_coeff_string()]
-            for label, polys, _ in results for name, p in polys.items()))
+        with _output(args) as fh:
+            _write_csv(fh, ["input", "method", "degree", "coefficients"], (
+                [label, name, p.degree, p.to_coeff_string()]
+                for label, polys, _ in results for name, p in polys.items()))
     else:
         lines = []
         for label, polys, verdict in results:
@@ -506,7 +511,8 @@ def cmd_roots(args) -> int:
                          for lo, hi in intervals]
             else:
                 rows += _root_rows(root_set)
-        _emit_csv(args, ["re", "im", "residual"], rows)
+        with _output(args) as fh:
+            _write_csv(fh, ["re", "im", "residual"], rows)
     else:
         lines = []
         for label, poly, intervals, ints, root_set in reports:
@@ -583,17 +589,13 @@ def cmd_limits(args) -> int:
                                     f"{args.family}_scatter.csv")
         curve_path = os.path.join(args.output_dir, f"{args.family}_curve.csv")
         with open(scatter_path, "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["re", "im", "residual"])
-            writer.writerows(rows)
+            _write_csv(fh, ["re", "im", "residual"], rows)
         with open(curve_path, "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["re", "im", "piece"])
-            for piece in curve.pieces:
-                for z in piece.points:
-                    writer.writerow([repr(z.real), repr(z.imag), piece.implicit_id])
-            for z in curve.isolated_points:
-                writer.writerow([repr(z.real), repr(z.imag), "isolated"])
+            _write_csv(fh, ["re", "im", "piece"], itertools.chain(
+                ([repr(z.real), repr(z.imag), piece.implicit_id]
+                 for piece in curve.pieces for z in piece.points),
+                ([repr(z.real), repr(z.imag), "isolated"]
+                 for z in curve.isolated_points)))
         lines.append(f"wrote {scatter_path}")
         lines.append(f"wrote {curve_path}")
     elif args.export == "json":
@@ -667,7 +669,8 @@ def cmd_equiv(args) -> int:
             if len(members) > 1:
                 stats[2] += len(members)
         rows = [[order, *stats] for order, stats in sorted(per_order.items())]
-        _emit_csv(args, ["order", "graphs", "classes", "non_unique"], rows)
+        with _output(args) as fh:
+            _write_csv(fh, ["order", "graphs", "classes", "non_unique"], rows)
     else:
         lines = [
             f"graphs: {report.graph_count}",

@@ -146,9 +146,8 @@ def verify_friendship_not_unique(n: int) -> NonUniquenessWitness:
     p_b = family_poly(FamilySpec("book_contracted", n))
     if p_f != p_b:
         raise AssertionError("closed forms disagree; computation is broken")
-    cap = 2 * n + 2
-    f = build_family(FamilySpec("friendship", n), cap=cap)
-    bc = build_family(FamilySpec("book_contracted", n), cap=cap)
+    f = build_family(FamilySpec("friendship", n))
+    bc = build_family(FamilySpec("book_contracted", n))
     # certify by degree sequence specifically (the sizes differ as well, but
     # the degree sequences pin down where: 2n pendant-path degrees vs n
     # clique degrees of n+1)

@@ -2,11 +2,12 @@
 
 Vertices are labeled 0..n-1.  Adjacency is kept as one Python-int bitset per
 vertex, so closed-neighborhood unions (the heart of domination checks) are
-single OR operations.  Python ints are arbitrary width, which also serves as
-the fallback representation when a caller raises the size cap for
-closed-form-only work (degree-sequence certificates on large family members,
-for example); the default cap of 64 keeps accidental huge constructions out
-of the enumeration paths.
+single OR operations.  Python ints are arbitrary width, so graphs of any
+order can be built (degree-sequence certificates on large family members,
+for example).  The only size limit is the enumeration budget, which every
+enumeration path checks (`EnumerationBudgetError` in `domination`); graph6
+input is bounded by its own length, which is checked before anything sized
+by its vertex count is allocated.
 
 All graphs are immutable and every operation returns a new graph, so values
 are safe to share freely.
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-DEFAULT_CAP = 64
 
 FAMILY_KINDS = (
     "friendship",
@@ -29,10 +28,6 @@ FAMILY_KINDS = (
     "path",
     "star",
 )
-
-
-class CapExceededError(ValueError):
-    """Raised when a construction would exceed the vertex cap."""
 
 
 class Graph6ParseError(ValueError):
@@ -55,12 +50,9 @@ class Graph:
     adj: tuple[int, ...]
     closed: tuple[int, ...]
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 cap: int = DEFAULT_CAP):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        if n > cap:
-            raise CapExceededError(f"{n} vertices exceeds cap {cap}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -217,7 +209,7 @@ class FamilySpec:
         return f"{self.kind}:{self.n}"
 
 
-def build_family(spec: FamilySpec, cap: int = DEFAULT_CAP) -> Graph:
+def build_family(spec: FamilySpec) -> Graph:
     """Materialize a family member with its fixed labeling.
 
     Friendship hub is vertex 0; the book common edge is {0, 1}; the
@@ -226,57 +218,50 @@ def build_family(spec: FamilySpec, cap: int = DEFAULT_CAP) -> Graph:
     """
     n = spec.n
     kind = spec.kind
-    if spec.order > cap:
-        raise CapExceededError(
-            f"{spec} has {spec.order} vertices, exceeding cap {cap}")
     if kind == "friendship":
         edges = []
         for i in range(n):
             a, b = 2 * i + 1, 2 * i + 2
             edges += [(0, a), (0, b), (a, b)]
-        return Graph(2 * n + 1, edges, cap=cap)
+        return Graph(2 * n + 1, edges)
     if kind == "book":
         edges = [(0, 1)]
         for i in range(n):
             a, b = 2 * i + 2, 2 * i + 3
             edges += [(0, a), (a, b), (b, 1)]
-        return Graph(2 * n + 2, edges, cap=cap)
+        return Graph(2 * n + 2, edges)
     if kind == "book_contracted":
-        return contract(build_family(FamilySpec("book", n), cap=cap + 1), 1)
+        return contract(build_family(FamilySpec("book", n)), 1)
     if kind == "complete":
-        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)], cap=cap)
+        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind == "empty":
-        return Graph(n, (), cap=cap)
+        return Graph(n, ())
     if kind == "cycle":
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)], cap=cap)
+        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "path":
-        return Graph(n, [(i, i + 1) for i in range(n - 1)], cap=cap)
+        return Graph(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "star":
-        return Graph(n + 1, [(0, i) for i in range(1, n + 1)], cap=cap)
+        return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
     raise AssertionError(kind)
 
 
 # -- operations -------------------------------------------------------------
 
-def union(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
+def union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertices are relabeled by offset g.n."""
-    total = g.n + h.n
-    if total > cap:
-        raise CapExceededError(f"union has {total} vertices, exceeding cap {cap}")
     adj = list(g.adj) + [a << g.n for a in h.adj]
     return Graph._from_adj(tuple(adj))
 
 
-def join(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
+def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two vertex sets."""
-    u = union(g, h, cap=cap)
     g_mask = (1 << g.n) - 1
     h_mask = ((1 << h.n) - 1) << g.n
-    adj = [a | h_mask for a in u.adj[:g.n]] + [a | g_mask for a in u.adj[g.n:]]
+    adj = [a | h_mask for a in g.adj] + [(a << g.n) | g_mask for a in h.adj]
     return Graph._from_adj(tuple(adj))
 
 
-def corona(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
+def corona(g: Graph, h: Graph) -> Graph:
     """One copy of h per vertex of g, each g-vertex joined to all of its copy.
 
     Copy i occupies the contiguous block g.n + i*h.n .. g.n + (i+1)*h.n - 1.
@@ -284,9 +269,6 @@ def corona(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
     """
     if g.n == 0:
         raise ValueError("corona requires a nonempty first operand")
-    total = g.n * (1 + h.n)
-    if total > cap:
-        raise CapExceededError(f"corona has {total} vertices, exceeding cap {cap}")
     adj = list(g.adj) + [0] * (g.n * h.n)
     for i in range(g.n):
         base = g.n + i * h.n
@@ -345,8 +327,13 @@ def odot(g: Graph, u: int) -> Graph:
 _G6_HEADER = ">>graph6<<"
 
 
-def parse_graph6(text: str, cap: int = DEFAULT_CAP) -> Graph:
-    """Parse one graph6 line (optional >>graph6<< header allowed)."""
+def parse_graph6(text: str) -> Graph:
+    """Parse one graph6 line (optional >>graph6<< header allowed).
+
+    The line's length is checked against its vertex count before anything
+    sized by that count is allocated, and each edge bit is set straight
+    into the two bitsets it joins.
+    """
     base = 0
     if text.startswith(_G6_HEADER):
         base = len(_G6_HEADER)
@@ -373,21 +360,19 @@ def parse_graph6(text: str, cap: int = DEFAULT_CAP) -> Graph:
         for i in range(2, 8):
             n = (n << 6) | (data[i] - 63)
         pos = 8
-    if n > cap:
-        raise CapExceededError(f"graph6 input has {n} vertices, exceeding cap {cap}")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos < nbytes:
         raise Graph6ParseError("truncated edge data", base + len(data))
     if len(data) - pos > nbytes:
         raise Graph6ParseError("trailing data after edge bits", base + pos + nbytes)
-    edges = []
+    adj = [0] * n
     bit = 0
     for j in range(1, n):
         for i in range(j):
-            byte = data[pos + bit // 6] - 63
-            if (byte >> (5 - bit % 6)) & 1:
-                edges.append((i, j))
+            if (data[pos + bit // 6] - 63) >> (5 - bit % 6) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
             bit += 1
     # padding bits must be zero
     while bit < 6 * nbytes:
@@ -395,7 +380,7 @@ def parse_graph6(text: str, cap: int = DEFAULT_CAP) -> Graph:
         if (byte >> (5 - bit % 6)) & 1:
             raise Graph6ParseError("nonzero padding bit", base + pos + bit // 6)
         bit += 1
-    return Graph(n, edges, cap=cap)
+    return Graph._from_adj(tuple(adj))
 
 
 def write_graph6(g: Graph) -> str:

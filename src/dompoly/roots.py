@@ -624,6 +624,11 @@ def _aberth_sweeps(coeffs, roots: list) -> tuple[int, bool]:
             except ZeroDivisionError:
                 # coincident iterates or a zero Aberth denominator
                 roots[j] = z + bound * (1 + abs(z))
+            if not cmath.isfinite(roots[j]):
+                # NaN spreads to every later update, and an infinite
+                # iterate stays infinite or freezes there, so the sweeps
+                # cannot end finite and `_float_phase` drops them anyway
+                return sweep, False
         if all(frozen):
             return sweep, True
     return _MAX_SWEEPS, False

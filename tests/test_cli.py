@@ -1,6 +1,5 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
-import argparse
 import csv
 import io
 import json
@@ -23,7 +22,7 @@ from dompoly.cli import (
     main,
 )
 from dompoly.domination import family_poly
-from dompoly.graphs import FamilySpec
+from dompoly.graphs import FamilySpec, build_family, write_graph6
 
 
 def run(capsys, *argv):
@@ -99,6 +98,32 @@ def test_poly_budget_exit(capsys):
                        "--method", "brute")
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+def _path_graph6(n):
+    return write_graph6(build_family(FamilySpec("path", n)))
+
+
+@pytest.mark.parametrize("command", ["poly", "roots"])
+@pytest.mark.parametrize("order", [30, 70])
+def test_graph6_over_budget_exits_budget(capsys, command, order):
+    """Graph6 input over the enumeration budget exits 3 at any order, the
+    long-form header of orders above 62 included."""
+    code, out, err = run(capsys, command, "--graph6", _path_graph6(order))
+    assert code == EXIT_BUDGET
+    assert "budget" in err and out == ""
+
+
+def test_equiv_catalog_skips_over_budget(tmp_path, capsys):
+    big = _path_graph6(70)
+    path = tmp_path / "mixed.g6"
+    path.write_text(f"{big}\nA_\n")
+    code, out, _ = run(capsys, "equiv", "--catalog", str(path), "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["graph_count"] == 1
+    assert [gid for gid, _ in payload["skipped"]] == [big]
+    assert "budget" in payload["skipped"][0][1]
 
 
 def test_poly_closed_unavailable_for_graph(capsys):
@@ -210,7 +235,7 @@ def test_output_file(tmp_path, capsys):
 @pytest.mark.parametrize("row", [["plain", 7, 2.5, ""],
                                  ["a,b", 'say "hi"', "two\nlines", "-1,0,12"],
                                  ["A_\n", "closed", -3, '"']])
-def test_csv_output_is_csv_writers(tmp_path, capsys, row):
+def test_csv_output_is_csv_writers(tmp_path, row):
     """CSV output is csv.writer's default dialect with "\\n" line ends.  (A
     carriage return, which no output field can hold, is quoted by csv.writer
     only from Python 3.13 on.)"""
@@ -219,10 +244,12 @@ def test_csv_output_is_csv_writers(tmp_path, capsys, row):
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([row, row])
-    dompoly.cli._emit_csv(argparse.Namespace(), header, iter([row, row]))
-    assert capsys.readouterr().out == expected.getvalue()
+    got = io.StringIO()
+    dompoly.cli._write_csv(got, header, iter([row, row]))
+    assert got.getvalue() == expected.getvalue()
     target = tmp_path / "out.csv"
-    dompoly.cli._emit_csv(argparse.Namespace(output=str(target)), header, [row, row])
+    with open(target, "w", encoding="utf-8") as fh:
+        dompoly.cli._write_csv(fh, header, [row, row])
     assert target.read_bytes() == expected.getvalue().encode()
 
 

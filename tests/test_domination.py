@@ -103,7 +103,7 @@ def test_brute_force_crosses_chunk_boundary():
 
 
 def test_budget_error():
-    g = Graph(30, cap=30)
+    g = Graph(30)
     with pytest.raises(EnumerationBudgetError) as err:
         brute_force_poly(g)
     assert "family_poly" in str(err.value)

@@ -99,7 +99,7 @@ def test_classes_never_mix_orders():
 
 
 def test_partition_skips_over_budget():
-    big = Graph(30, cap=30)
+    big = Graph(30)
     report = partition_catalog([big, build_family(FamilySpec("complete", 1))],
                                ids=["big", "k1"])
     assert report.graph_count == 1
@@ -129,10 +129,12 @@ def test_verify_friendship_not_unique():
 
 
 def test_verify_friendship_not_unique_large():
-    w = verify_friendship_not_unique(100)
-    assert w.friendship.n == 201
-    assert w.certificate.detail_a[0] == 200  # hub degree
-    assert sorted(set(w.certificate.detail_b)) == [2, 101, 200]
+    for n in (100, 200):
+        w = verify_friendship_not_unique(n)
+        assert w.friendship.n == 2 * n + 1
+        assert w.certificate.kind == "degree-sequence"
+        assert w.certificate.detail_a[0] == 2 * n  # hub degree
+        assert sorted(set(w.certificate.detail_b)) == [2, n + 1, 2 * n]
 
 
 def test_catalog_graphs_parse_and_roundtrip():

@@ -1,6 +1,7 @@
 """Root extraction: certified real isolation, exact integer roots, and the
 multiprecision complex solver, cross-validated against each other."""
 
+import cmath
 import dataclasses
 import math
 import random
@@ -17,8 +18,10 @@ from dompoly.graphs import FamilySpec
 from dompoly.polynomials import ONE, X, IntPolynomial
 from dompoly.roots import (
     ConvergenceError,
+    _MAX_SWEEPS,
     _aberth_sweeps,
     _fixed_sweeps,
+    _float_phase,
     _newton_polygon_starts,
     all_roots,
     count_real_roots_in,
@@ -392,6 +395,22 @@ def test_all_roots_wilkinson():
     assert len(got) == 20
     for k, r in zip(range(1, 21), got):
         assert (r.re - k) ** 2 + r.im ** 2 < Fraction(1e-30) ** 2
+
+
+def test_float_phase_stops_at_a_non_finite_iterate():
+    """The double-precision sweeps of friendship:60 (degree 120 after the
+    root 0) overflow within a few sweeps; they stop there instead of running
+    all _MAX_SWEEPS, and the phase still hands the Newton-polygon starts on
+    unchanged, so `all_roots` reports float_sweeps 0 and the same 67
+    fixed-point sweeps as before the early stop."""
+    p = friendship(60)
+    coeffs = p.coeffs[p.valuation:]
+    starts = _newton_polygon_starts(coeffs)
+    roots = [z for z, _ in starts]
+    sweeps, converged = _aberth_sweeps([float(c) for c in coeffs], roots)
+    assert sweeps < _MAX_SWEEPS and not converged
+    assert not all(map(cmath.isfinite, roots))
+    assert _float_phase(coeffs, starts) == (0, starts)
 
 
 def test_all_roots_without_float_phase():
