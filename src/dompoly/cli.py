@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 from .domination import (
     BRUTE_FORCE_BUDGET_BITS,
     EnumerationBudgetError,
+    _check_budget,
     book_family,
     brute_force_poly,
     family_poly,
@@ -39,6 +40,7 @@ from .equivalence import bundled_catalog_text, partition_catalog
 from .graphs import (
     FamilySpec,
     Graph,
+    _validate_graph6,
     build_family,
     parse_graph6,
 )
@@ -355,22 +357,29 @@ def _output(args):
         yield sys.stdout
 
 
-def _resolve_inputs(args) -> list[tuple[str, FamilySpec | None, Graph | None]]:
+def _resolve_inputs(args, check_budget: bool = True
+                    ) -> list[tuple[str, FamilySpec | None, Graph | None]]:
+    """The jobs of a poly or roots request.  graph6 lines are all checked
+    before any is decoded, and, when check_budget is set, each vertex count
+    is held to the enumeration budget in between: every parse error comes
+    before any budget error, and an over-budget line is never decoded."""
     if args.family:
         spec = FamilySpec.parse(args.family)
         return [(str(spec), spec, None)]
     if args.graph6:
-        # the label drops the line breaks that parse_graph6 drops
-        return [(args.graph6.rstrip("\r\n"), None, parse_graph6(args.graph6))]
-    jobs = []
-    with open(args.graph6_file, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                jobs.append((line, None, parse_graph6(line)))
-    if not jobs:
-        raise ValueError(f"no graphs in {args.graph6_file}")
-    return jobs
+        lines = [args.graph6]
+    else:
+        with open(args.graph6_file, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh]
+        lines = [line for line in lines if line]
+        if not lines:
+            raise ValueError(f"no graphs in {args.graph6_file}")
+    orders = [_validate_graph6(line)[1] for line in lines]
+    if check_budget:
+        for n in orders:
+            _check_budget(n)
+    # the label drops the line breaks that parse_graph6 drops
+    return [(line.rstrip("\r\n"), None, parse_graph6(line)) for line in lines]
 
 
 # -- poly -------------------------------------------------------------------
@@ -404,7 +413,7 @@ def _poly_methods(label: str, spec: FamilySpec | None, graph: Graph | None,
 
 
 def cmd_poly(args) -> int:
-    jobs = _resolve_inputs(args)
+    jobs = _resolve_inputs(args, check_budget=args.method != "closed")
     results = []
     any_disagree = False
     for label, spec, graph in jobs:

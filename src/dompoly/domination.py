@@ -27,7 +27,7 @@ from .polynomials import ONE, X, IntPolynomial
 if TYPE_CHECKING:
     import numpy as np
 
-BRUTE_FORCE_BUDGET_BITS = 26  # vertices; keeps every mask within an int64 entry
+BRUTE_FORCE_BUDGET_BITS = 26  # vertices; keeps every mask within an int32 entry
 
 _CHUNK_BITS = 13  # width of the low-half table in the subset sweep
 _SWEEP_BLOCK = 1 << 16  # table entries per vectorized step of the sweep
@@ -38,10 +38,11 @@ class EnumerationBudgetError(ValueError):
     recurrence path instead."""
 
 
-def _check_budget(g: Graph) -> None:
-    if g.n > BRUTE_FORCE_BUDGET_BITS:
+def _check_budget(n: int) -> None:
+    """Raise EnumerationBudgetError if n vertices exceed the budget."""
+    if n > BRUTE_FORCE_BUDGET_BITS:
         raise EnumerationBudgetError(
-            f"{g.n} vertices needs 2^{g.n} subsets, over the "
+            f"{n} vertices needs 2^{n} subsets, over the "
             f"2^{BRUTE_FORCE_BUDGET_BITS} budget; use family_poly or a "
             f"recurrence instead")
 
@@ -51,83 +52,142 @@ def _cover_table(masks: list[int]) -> np.ndarray:
     the subsets that contain v = j are those without it, or'ed with masks[j]."""
     import numpy as np
 
-    table = np.zeros(1 << len(masks), dtype=np.int64)
+    table = np.zeros(1 << len(masks), dtype=np.int32)
     for j, mask in enumerate(masks):
         table[1 << j:2 << j] = table[:1 << j] | mask
     return table
 
 
 @cache
-def _popcount_table(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pop, order, starts) for the subsets s < 2^width: pop[s] is the size
-    of s, order lists the subsets by size, and those of size i are
-    order[starts[i]:starts[i + 1]].  Built by doubling like _cover_table;
-    cached, so the arrays are read-only."""
+def _popcount_table(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pop, onehot) for the subsets s < 2^width: pop[s] is the size of s
+    and onehot[s, i] is 1.0 where i = pop[s].  Built by doubling like
+    _cover_table; cached, so the arrays are read-only."""
     import numpy as np
 
-    pop = np.zeros(1 << width, dtype=np.int64)
+    pop = np.zeros(1 << width, dtype=np.int32)
     for j in range(width):
         pop[1 << j:2 << j] = pop[:1 << j] + 1
-    order = np.argsort(pop, kind="stable")
-    starts = np.searchsorted(pop[order], np.arange(width + 1))
-    for table in (pop, order, starts):
+    onehot = (pop[:, None] == np.arange(width + 1)).astype(np.float32)
+    for table in (pop, onehot):
         table.flags.writeable = False
-    return pop, order, starts
+    return pop, onehot
+
+
+def _count_small(rows: np.ndarray, full: int) -> np.ndarray:
+    """counts[r, i] = number of i-element subsets of the k masks rows[r]
+    whose union is full, for a (rows, k) array with k <= _CHUNK_BITS.
+
+    The cover tables of up to _SWEEP_BLOCK >> k rows are doubled at once,
+    like _cover_table, and counted by one product of their ok flags with
+    the size one-hot, in float32: each count is at most C(k, i) <= 2^13 <
+    2^24, so every partial sum is an exact integer.
+    """
+    import numpy as np
+
+    k = rows.shape[1]
+    onehot = _popcount_table(k)[1]
+    counts = np.empty((len(rows), k + 1), dtype=np.int64)
+    step = max(1, _SWEEP_BLOCK >> k)
+    for r in range(0, len(rows), step):
+        block = rows[r:r + step]
+        table = np.zeros((len(block), 1 << k), dtype=np.int32)
+        for j in range(k):
+            table[:, 1 << j:2 << j] = table[:, :1 << j] | block[:, j, None]
+        counts[r:r + step] = (table == full).astype(np.float32) @ onehot
+    return counts
+
+
+def _covers_by_size(table: np.ndarray, other: int,
+                    full: int) -> tuple[np.ndarray, np.ndarray]:
+    """(covers, hist) of one half's cover table: the distinct covers c of
+    the parts that reach full together with the other half's whole cover,
+    and hist[c, j] = the number of those parts of size j with cover c."""
+    import numpy as np
+
+    width = len(table).bit_length()  # the half has width - 1 masks
+    # key = cover << shift | size stays below 2^31, as covers are below 2^26
+    shift = width.bit_length()
+    pop = _popcount_table(width - 1)[0]
+    keep = (table | other) == full
+    key, count = np.unique((table << shift | pop)[keep], return_counts=True)
+    covers, which = np.unique(key >> shift, return_inverse=True)
+    hist = np.zeros((len(covers), width), dtype=np.int64)
+    hist[which, key & ((1 << shift) - 1)] = count
+    return covers, hist
 
 
 def _count_covering_by_size(masks: list[int], full: int) -> list[int]:
     """counts[i] = number of i-element subsets of masks whose union is full.
 
-    A subset splits into a low part (the first _CHUNK_BITS masks) and a high
+    Up to _CHUNK_BITS masks this is _count_small on one row.  Above that, a
+    subset splits into a low part (the first _CHUNK_BITS masks) and a high
     part (the rest); it covers full iff low cover | high cover == full.  So
-    the number of low parts that complete a high part depends on the high
-    part only through its cover c, and
+    the count depends on the parts only through their covers, and
 
-        counts = sum over distinct high covers c of  b_c * h_c
+        sizes[i, j] = sum over low covers c and high covers d with
+                      c | d == full of  l_c[i] * h_d[j]
 
-    where b_c[i] counts the low parts of size i with low cover | c == full,
-    h_c[j] counts the high parts of size j whose cover is c, and * is
-    polynomial multiplication.  Each distinct c costs one vectorized sweep of
-    the low table, however many high parts share it; high parts that miss
-    full even with every low vertex are dropped first.
+    where l_c[i] counts the low parts of size i with cover c and h_d[j] the
+    high parts of size j with cover d; counts[m] sums sizes[i, j] over
+    i + j = m.  Both halves are grouped by cover, dropping the parts that
+    miss full even with the whole other half, so the cost is per pair of
+    distinct covers.  t = ok @ h, with ok[c, d] = (c | d == full), runs in
+    float32 over blocks of low covers: t[c, j] sums h_d[j] over a subset of
+    the high parts of size j, at most C(13, j) <= 2^13 < 2^24, so every
+    partial sum is exact.  sizes = l.T @ t is then taken in int64.
     """
     import numpy as np
 
     k = len(masks)
     lo = min(k, _CHUNK_BITS)
-    low_table = _cover_table(masks[:lo])
-    low_pop, low_order, low_starts = _popcount_table(lo)
     if k == lo:
-        return np.bincount(low_pop[low_table == full], minlength=k + 1).tolist()
+        return _count_small(np.array([masks], dtype=np.int32), full)[0].tolist()
+    low_table = _cover_table(masks[:lo])
     high_table = _cover_table(masks[lo:])
-    high_pop = _popcount_table(k - lo)[0]
-    keep = (high_table | low_table[-1]) == full
-    covers, which = np.unique(high_table[keep], return_inverse=True)
-    width = k - lo + 1
-    h = np.bincount(which * width + high_pop[keep],
-                    minlength=len(covers) * width).reshape(len(covers), width)
-    # b[c, i] counts the size-i low parts that complete cover c: the ok flags
-    # summed over the size-i segment of the size-sorted low table
-    low_sorted = low_table[low_order]
-    b = np.empty((len(covers), lo + 1), dtype=np.int64)
-    rows = max(1, _SWEEP_BLOCK >> lo)
-    for r in range(0, len(covers), rows):
-        ok = (low_sorted | covers[r:r + rows, None]) == full
-        b[r:r + rows] = np.add.reduceat(ok, low_starts, axis=1, dtype=np.int64)
-    # sizes[i, j] = sum over c of b_c[i] * h_c[j]; counts[m] sums i + j = m
-    sizes = b.T @ h
+    lows, low_hist = _covers_by_size(low_table, int(high_table[-1]), full)
+    highs, high_hist = _covers_by_size(high_table, int(low_table[-1]), full)
+    h = high_hist.astype(np.float32)
+    t = np.empty((len(lows), h.shape[1]), dtype=np.float32)
+    step = max(1, _SWEEP_BLOCK // max(1, len(highs)))
+    for r in range(0, len(lows), step):
+        ok = (lows[r:r + step, None] | highs) == full
+        t[r:r + step] = ok.astype(np.float32) @ h
+    sizes = low_hist.T @ t.astype(np.int64)
     counts = np.zeros(k + 1, dtype=np.int64)
-    for j in range(width):
+    for j in range(k - lo + 1):
         counts[j:j + lo + 1] += sizes[:, j]
     return counts.tolist()
 
 
 def brute_force_poly(g: Graph) -> IntPolynomial:
     """Exact domination polynomial by enumerating all 2^n vertex subsets."""
-    _check_budget(g)
+    _check_budget(g.n)
     if g.n == 0:
         return ONE
     return IntPolynomial(_count_covering_by_size(list(g.closed), g.full_mask))
+
+
+def brute_force_polys(graphs: list[Graph]) -> list[IntPolynomial]:
+    """brute_force_poly of each graph, in order.  Graphs of one order up to
+    _CHUNK_BITS vertices are enumerated together, _SWEEP_BLOCK table entries
+    at a time; every other graph goes through brute_force_poly."""
+    import numpy as np
+
+    for g in graphs:
+        _check_budget(g.n)
+    polys: list[IntPolynomial | None] = [None] * len(graphs)
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        if 0 < g.n <= _CHUNK_BITS:
+            by_order.setdefault(g.n, []).append(i)
+        else:
+            polys[i] = brute_force_poly(g)
+    for n, which in by_order.items():
+        rows = np.array([graphs[i].closed for i in which], dtype=np.int32)
+        for i, counts in zip(which, _count_small(rows, (1 << n) - 1).tolist()):
+            polys[i] = IntPolynomial(counts)
+    return polys
 
 
 def restricted_count(g: Graph, u: int) -> IntPolynomial:
@@ -137,7 +197,7 @@ def restricted_count(g: Graph, u: int) -> IntPolynomial:
     those outside N[u]; domination is tested in the deleted graph.
     """
     g._check_vertex(u)
-    _check_budget(g)
+    _check_budget(g.n)
     h = delete_vertex(g, u)
     allowed = [v - (v > u) for v in bitset_members(g.full_mask & ~g.closed[u])]
     masks = [h.closed[v] for v in allowed]

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import EnumerationBudgetError, brute_force_poly, family_poly
+from .domination import (
+    EnumerationBudgetError,
+    _check_budget,
+    brute_force_polys,
+    family_poly,
+)
 from .graphs import FamilySpec, Graph, build_family, write_graph6
 from .polynomials import IntPolynomial
 
@@ -92,13 +97,16 @@ def partition_catalog(graphs: list[Graph],
         raise ValueError("ids must pair with graphs")
     by_poly: dict[IntPolynomial, list[tuple[str, Graph]]] = {}
     skipped: list[tuple[str, str]] = []
+    kept: list[tuple[str, Graph]] = []
     for gid, g in zip(ids, graphs):
         try:
-            poly = brute_force_poly(g)
+            _check_budget(g.n)
         except EnumerationBudgetError as exc:
             skipped.append((gid, str(exc)))
             continue
-        by_poly.setdefault(poly, []).append((gid, g))
+        kept.append((gid, g))
+    for item, poly in zip(kept, brute_force_polys([g for _, g in kept])):
+        by_poly.setdefault(poly, []).append(item)
 
     classes: dict[str, tuple[str, ...]] = {}
     witness_pairs: list[WitnessPair] = []

@@ -15,6 +15,7 @@ are safe to share freely.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -325,15 +326,15 @@ def odot(g: Graph, u: int) -> Graph:
 # -- graph6 ------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+_G6_OUTSIDE = re.compile("[^?-~]")  # any byte outside 63..126
 
 
-def parse_graph6(text: str) -> Graph:
-    """Parse one graph6 line (optional >>graph6<< header allowed).
-
-    The line's length is checked against its vertex count before anything
-    sized by that count is allocated, and each edge bit is set straight
-    into the two bitsets it joins.
-    """
+def _validate_graph6(text: str) -> tuple[bytes, int, int]:
+    """Check one graph6 line (optional >>graph6<< header allowed) without
+    decoding it: its byte range, its vertex count, its length against that
+    count, and its padding bits, which all lie in the last byte.  Returns
+    (data, n, pos): the line's bytes after any header and line break, the
+    vertex count, and the offset of the edge bits in data."""
     base = 0
     if text.startswith(_G6_HEADER):
         base = len(_G6_HEADER)
@@ -341,10 +342,11 @@ def parse_graph6(text: str) -> Graph:
     text = text.rstrip("\r\n")
     if not text:
         raise Graph6ParseError("empty graph6 string", base)
-    data = [ord(ch) for ch in text]
-    for i, byte in enumerate(data):
-        if not (63 <= byte <= 126):
-            raise Graph6ParseError(f"byte {byte} outside graph6 range", base + i)
+    outside = _G6_OUTSIDE.search(text)
+    if outside:
+        raise Graph6ParseError(f"byte {ord(outside.group())} outside graph6 range",
+                               base + outside.start())
+    data = text.encode("ascii")
     if data[0] != 126:
         n = data[0] - 63
         pos = 1
@@ -366,6 +368,20 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6ParseError("truncated edge data", base + len(data))
     if len(data) - pos > nbytes:
         raise Graph6ParseError("trailing data after edge bits", base + pos + nbytes)
+    # the 6 * nbytes - nbits < 6 padding bits are the last byte's lowest
+    if (data[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
+        raise Graph6ParseError("nonzero padding bit", base + pos + nbytes - 1)
+    return data, n, pos
+
+
+def parse_graph6(text: str) -> Graph:
+    """Parse one graph6 line (optional >>graph6<< header allowed).
+
+    The whole line is checked, its length against its vertex count included,
+    before anything sized by that count is allocated, and each edge bit is
+    set straight into the two bitsets it joins.
+    """
+    data, n, pos = _validate_graph6(text)
     adj = [0] * n
     bit = 0
     for j in range(1, n):
@@ -374,12 +390,6 @@ def parse_graph6(text: str) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
             bit += 1
-    # padding bits must be zero
-    while bit < 6 * nbytes:
-        byte = data[pos + bit // 6] - 63
-        if (byte >> (5 - bit % 6)) & 1:
-            raise Graph6ParseError("nonzero padding bit", base + pos + bit // 6)
-        bit += 1
     return Graph._from_adj(tuple(adj))
 
 

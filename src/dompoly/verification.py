@@ -21,6 +21,7 @@ from statistics import median
 
 from .domination import (
     brute_force_poly,
+    brute_force_polys,
     corona_family_poly,
     corona_poly,
     family_poly,
@@ -360,9 +361,12 @@ def check_parity_invariant() -> CheckResult:
             polys.append((f"{kind}:{n}", family_poly(FamilySpec(kind, n))))
     for n in range(3, 13):
         polys.append((f"cycle:{n}", family_poly(FamilySpec("cycle", n))))
+    labels, graphs = [], []
     for order in BUNDLED_ORDERS:
         for i, g in enumerate(bundled_catalog(order)):
-            polys.append((f"catalog:{order}:{i}", brute_force_poly(g)))
+            labels.append(f"catalog:{order}:{i}")
+            graphs.append(g)
+    polys += zip(labels, brute_force_polys(graphs))
     for n in (1, 3):
         polys.append((f"corona:{n}",
                       corona_poly(family_poly(FamilySpec("friendship", n)),

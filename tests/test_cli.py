@@ -21,8 +21,8 @@ from dompoly.cli import (
     build_parser,
     main,
 )
-from dompoly.domination import family_poly
-from dompoly.graphs import FamilySpec, build_family, write_graph6
+from dompoly.domination import BRUTE_FORCE_BUDGET_BITS, family_poly
+from dompoly.graphs import FamilySpec, Graph, build_family, write_graph6
 
 
 def run(capsys, *argv):
@@ -112,6 +112,31 @@ def test_graph6_over_budget_exits_budget(capsys, command, order):
     code, out, err = run(capsys, command, "--graph6", _path_graph6(order))
     assert code == EXIT_BUDGET
     assert "budget" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["poly", "roots"])
+def test_graph6_file_over_budget_rejected_before_decoding(tmp_path, capsys,
+                                                          monkeypatch, command):
+    """The vertex count in the header decides the budget: an over-budget
+    line is never decoded, and a malformed line after it still exits 2."""
+    original = Graph._from_adj.__func__
+
+    def small_only(cls, adj):
+        assert len(adj) <= BRUTE_FORCE_BUDGET_BITS, "decoded an over-budget line"
+        return original(cls, adj)
+
+    monkeypatch.setattr(Graph, "_from_adj", classmethod(small_only))
+    path = tmp_path / "big.g6"
+    path.write_text(f"A_\n{_path_graph6(70)}\n")
+    code, out, err = run(capsys, command, "--graph6-file", str(path))
+    assert code == EXIT_BUDGET
+    assert err == ("error: 70 vertices needs 2^70 subsets, over the 2^26 "
+                   "budget; use family_poly or a recurrence instead\n")
+    assert out == ""
+    path.write_text(f"A_\n{_path_graph6(70)}\nA_x\n")
+    code, _, err = run(capsys, command, "--graph6-file", str(path))
+    assert code == EXIT_PARSE
+    assert "trailing data" in err
 
 
 def test_equiv_catalog_skips_over_budget(tmp_path, capsys):

@@ -14,6 +14,7 @@ from dompoly.domination import (
     _cycle_poly,
     _trinomial_diagonal,
     brute_force_poly,
+    brute_force_polys,
     corona_family_poly,
     corona_poly,
     family_poly,
@@ -100,6 +101,21 @@ def test_brute_force_crosses_chunk_boundary():
     star = fam("star", 13)
     assert brute_force_poly(star) == family_poly(FamilySpec("star", 13))
     assert brute_force_poly(g) == family_poly(FamilySpec("friendship", 6))
+
+
+def test_brute_force_polys_in_input_order():
+    # orders 0 and 1, and order 4 three times around other orders, so the
+    # batch of order-4 graphs must be put back in place
+    rng = random.Random(24)
+    graphs = [rand_graph(rng, 4), Graph(0), rand_graph(rng, 4), Graph(1),
+              fam("friendship", 7), rand_graph(rng, 4), fam("star", 13)]
+    polys = brute_force_polys(graphs)
+    assert polys[1] == ONE and polys[3] == X
+    assert polys == [brute_force_poly(g) for g in graphs]
+    assert polys == [oracle_poly(g) for g in graphs[:4]] + polys[4:]
+    assert brute_force_polys([]) == []
+    with pytest.raises(EnumerationBudgetError):
+        brute_force_polys([Graph(3), Graph(27)])
 
 
 def test_budget_error():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dompoly.domination import brute_force_poly, family_poly
+from dompoly.domination import EnumerationBudgetError, brute_force_poly, family_poly
 from dompoly.equivalence import (
     bundled_catalog,
     bundled_catalog_text,
@@ -105,6 +105,31 @@ def test_partition_skips_over_budget():
     assert report.graph_count == 1
     assert len(report.skipped) == 1
     assert report.skipped[0][0] == "big"
+
+
+def test_partition_matches_per_graph_brute_force():
+    """One batched enumeration gives the classes and skips, in order, that
+    brute-forcing each graph and skipping the over-budget ones gives."""
+    rng = random.Random(24)
+    graphs = [build_family(FamilySpec("path", 27)), *bundled_catalog(4),
+              build_family(FamilySpec("friendship", 2)), Graph(30),
+              build_family(FamilySpec("book_contracted", 2)), Graph(0),
+              Graph(14, [(i, j) for j in range(14) for i in range(j)
+                         if rng.random() < 0.3]), *bundled_catalog(5)]
+    ids = [f"g{i}" for i in range(len(graphs))]
+    classes: dict[str, list[str]] = {}
+    skipped = []
+    for gid, g in zip(ids, graphs):
+        try:
+            poly = brute_force_poly(g)
+        except EnumerationBudgetError as exc:
+            skipped.append((gid, str(exc)))
+            continue
+        classes.setdefault(poly.to_coeff_string(), []).append(gid)
+    report = partition_catalog(graphs, ids)
+    assert report.skipped == tuple(skipped)
+    assert [gid for gid, _ in report.skipped] == ["g0", "g13"]
+    assert report.classes == {k: tuple(sorted(v)) for k, v in classes.items()}
 
 
 def test_certificates():

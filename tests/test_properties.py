@@ -27,6 +27,7 @@ from dompoly import domination
 from dompoly.cli import _JSON_CHUNK, _Verbatim, _nstr, _write_json
 from dompoly.domination import (
     brute_force_poly,
+    brute_force_polys,
     recurrence_poly_odot,
     recurrence_poly_vertex,
     restricted_count,
@@ -97,6 +98,19 @@ def test_brute_force_at_every_split_equals_oracle(g, data):
             assert brute_force_poly(g) == expected
             if g.n:
                 assert restricted_count(g, u) == expected_restricted
+
+
+@deterministic
+@given(st.lists(graphs(max_n=8, min_n=0), max_size=8))
+def test_brute_force_polys_at_every_split_equals_oracle(batch):
+    # graphs at or below the split are enumerated together by order, the
+    # others one at a time through the split path
+    expected = [oracle_poly(g) for g in batch]
+    for chunk in range(max((g.n for g in batch), default=0) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domination, "_CHUNK_BITS", chunk)
+            assert brute_force_polys(batch) == expected
+            assert [brute_force_poly(g) for g in batch] == expected
 
 
 @deterministic
