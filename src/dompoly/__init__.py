@@ -6,6 +6,12 @@ recurrences, closed family formulas), analyzes the roots (multiprecision
 complex solving, exact real-root isolation, exact integer roots), traces
 limit curves of root sequences for two- and three-term exponential families,
 and partitions graph catalogs into classes with equal polynomials.
+
+Five exported names have no caller inside the package: `union`, `join` and
+`corona` build the graphs whose polynomials the closed-form product rules
+(`D(G ∪ H) = D(G)·D(H)`, `join_poly`, `corona_poly`) predict, and
+`is_dominating` with `bitset` is the subset-by-subset oracle that the brute
+force is tested against.  They are the graph side of those identities.
 """
 
 from .domination import (

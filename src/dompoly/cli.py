@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -36,13 +37,13 @@ from .domination import (
     recurrence_poly_odot,
     recurrence_poly_vertex,
 )
-from .equivalence import bundled_catalog_text, partition_catalog
+from .equivalence import _split_by_budget, bundled_catalog_text, partition_catalog
 from .graphs import (
     FamilySpec,
     Graph,
+    _decode_graph6,
     _validate_graph6,
     build_family,
-    parse_graph6,
 )
 from .polynomials import (
     DEFAULT_PRECISION,
@@ -357,29 +358,32 @@ def _output(args):
         yield sys.stdout
 
 
-def _resolve_inputs(args, check_budget: bool = True
-                    ) -> list[tuple[str, FamilySpec | None, Graph | None]]:
+def _read_graph6(path: str) -> list[str]:
+    """The lines of a graph6 file, stripped, blank lines left out."""
+    with open(path, "r", encoding="ascii") as fh:
+        return [line for line in map(str.strip, fh) if line]
+
+
+def _resolve_inputs(args) -> list[tuple[str, FamilySpec | None, Graph | None]]:
     """The jobs of a poly or roots request.  graph6 lines are all checked
-    before any is decoded, and, when check_budget is set, each vertex count
-    is held to the enumeration budget in between: every parse error comes
-    before any budget error, and an over-budget line is never decoded."""
+    before any is decoded, and each vertex count is held to the enumeration
+    budget in between: every parse error comes before any budget error, and
+    an over-budget line is never decoded."""
     if args.family:
         spec = FamilySpec.parse(args.family)
         return [(str(spec), spec, None)]
     if args.graph6:
         lines = [args.graph6]
     else:
-        with open(args.graph6_file, "r", encoding="ascii") as fh:
-            lines = [line.strip() for line in fh]
-        lines = [line for line in lines if line]
+        lines = _read_graph6(args.graph6_file)
         if not lines:
             raise ValueError(f"no graphs in {args.graph6_file}")
-    orders = [_validate_graph6(line)[1] for line in lines]
-    if check_budget:
-        for n in orders:
-            _check_budget(n)
-    # the label drops the line breaks that parse_graph6 drops
-    return [(line.rstrip("\r\n"), None, parse_graph6(line)) for line in lines]
+    checked = [_validate_graph6(line) for line in lines]
+    for _, n, _ in checked:
+        _check_budget(n)
+    # the label drops the line breaks that _validate_graph6 drops
+    return [(line.rstrip("\r\n"), None, _decode_graph6(*c))
+            for line, c in zip(lines, checked)]
 
 
 # -- poly -------------------------------------------------------------------
@@ -391,9 +395,6 @@ def _poly_methods(label: str, spec: FamilySpec | None, graph: Graph | None,
     out: dict[str, IntPolynomial] = {}
     if method in ("closed", "all") and spec is not None:
         out["closed"] = family_poly(spec)
-    elif method == "closed":
-        raise ValueError(f"{label}: no closed form for an explicit graph; "
-                         f"use --method brute")
     if method in ("brute", "recurrence", "all"):
         g = graph
         if g is None:
@@ -413,7 +414,10 @@ def _poly_methods(label: str, spec: FamilySpec | None, graph: Graph | None,
 
 
 def cmd_poly(args) -> int:
-    jobs = _resolve_inputs(args, check_budget=args.method != "closed")
+    if args.method == "closed" and not args.family:
+        raise ValueError("no closed form for an explicit graph; "
+                         "use --method brute")
+    jobs = _resolve_inputs(args)
     results = []
     any_disagree = False
     for label, spec, graph in jobs:
@@ -639,14 +643,17 @@ def cmd_limits(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    if args.catalog:
-        with open(args.catalog, "r", encoding="ascii") as fh:
-            ids = [line.strip() for line in fh if line.strip()]
-    else:
-        ids = [line for line in bundled_catalog_text(args.order).splitlines()
-               if line.strip()]
-    graphs = [parse_graph6(line) for line in ids]
-    report = partition_catalog(graphs, ids)
+    # a bundled catalog has one graph6 line per line and no blank lines
+    ids = (_read_graph6(args.catalog) if args.catalog
+           else bundled_catalog_text(args.order).split())
+    # every line is checked before any is decoded, and a line over the
+    # budget is skipped by its header, as partition_catalog skips a graph
+    checked = [_validate_graph6(line) for line in ids]
+    kept, skipped = _split_by_budget(zip(ids, checked), [n for _, n, _ in checked])
+    report = dataclasses.replace(
+        partition_catalog([_decode_graph6(*c) for _, c in kept],
+                          [gid for gid, _ in kept]),
+        skipped=tuple(skipped))
 
     if args.format == "json":
         payload = {
@@ -695,9 +702,8 @@ def cmd_equiv(args) -> int:
             body = (f"{cert.kind} {list(cert.detail_a)} vs {list(cert.detail_b)}"
                     if cert.available else "certificate unavailable")
             lines.append(f"witness {w.graph_a} ~ {w.graph_b}: {body}")
-        if report.skipped:
-            for gid, reason in report.skipped:
-                lines.append(f"skipped {gid}: {reason}")
+        for gid, reason in report.skipped:
+            lines.append(f"skipped {gid}: {reason}")
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

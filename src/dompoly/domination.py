@@ -34,8 +34,8 @@ _SWEEP_BLOCK = 1 << 16  # table entries per vectorized step of the sweep
 
 
 class EnumerationBudgetError(ValueError):
-    """Instance too large for subset enumeration; use a closed form or
-    recurrence path instead."""
+    """Instance too large for subset enumeration; use a closed form
+    instead."""
 
 
 def _check_budget(n: int) -> None:
@@ -43,8 +43,7 @@ def _check_budget(n: int) -> None:
     if n > BRUTE_FORCE_BUDGET_BITS:
         raise EnumerationBudgetError(
             f"{n} vertices needs 2^{n} subsets, over the "
-            f"2^{BRUTE_FORCE_BUDGET_BITS} budget; use family_poly or a "
-            f"recurrence instead")
+            f"2^{BRUTE_FORCE_BUDGET_BITS} budget; use family_poly instead")
 
 
 def _cover_table(masks: list[int]) -> np.ndarray:

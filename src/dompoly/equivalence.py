@@ -83,6 +83,20 @@ def certificate_for(a: Graph, b: Graph) -> WitnessCertificate:
     return WitnessCertificate("unavailable")
 
 
+def _split_by_budget(items, orders) -> tuple[list, list[tuple[str, str]]]:
+    """(kept, skipped): the (id, x) items whose order is within the
+    enumeration budget, and (id, reason) for the others, in input order."""
+    kept, skipped = [], []
+    for (gid, x), n in zip(items, orders):
+        try:
+            _check_budget(n)
+        except EnumerationBudgetError as exc:
+            skipped.append((gid, str(exc)))
+        else:
+            kept.append((gid, x))
+    return kept, skipped
+
+
 def partition_catalog(graphs: list[Graph],
                       ids: list[str] | None = None) -> EquivalenceReport:
     """Partition a catalog into classes of equal domination polynomial.
@@ -96,15 +110,7 @@ def partition_catalog(graphs: list[Graph],
     if len(ids) != len(graphs):
         raise ValueError("ids must pair with graphs")
     by_poly: dict[IntPolynomial, list[tuple[str, Graph]]] = {}
-    skipped: list[tuple[str, str]] = []
-    kept: list[tuple[str, Graph]] = []
-    for gid, g in zip(ids, graphs):
-        try:
-            _check_budget(g.n)
-        except EnumerationBudgetError as exc:
-            skipped.append((gid, str(exc)))
-            continue
-        kept.append((gid, g))
+    kept, skipped = _split_by_budget(zip(ids, graphs), [g.n for g in graphs])
     for item, poly in zip(kept, brute_force_polys([g for _, g in kept])):
         by_poly.setdefault(poly, []).append(item)
 

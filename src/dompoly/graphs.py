@@ -378,10 +378,14 @@ def parse_graph6(text: str) -> Graph:
     """Parse one graph6 line (optional >>graph6<< header allowed).
 
     The whole line is checked, its length against its vertex count included,
-    before anything sized by that count is allocated, and each edge bit is
-    set straight into the two bitsets it joins.
+    before anything sized by that count is allocated.
     """
-    data, n, pos = _validate_graph6(text)
+    return _decode_graph6(*_validate_graph6(text))
+
+
+def _decode_graph6(data: bytes, n: int, pos: int) -> Graph:
+    """The graph of a line from what `_validate_graph6` returned for it:
+    each edge bit is set straight into the two bitsets it joins."""
     adj = [0] * n
     bit = 0
     for j in range(1, n):

@@ -9,7 +9,9 @@ for what "working" means.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import math
 import os
 import random
 import tempfile
@@ -39,7 +41,6 @@ from .limits import (
     friendship_limit_curve,
     hyperbola_residual,
 )
-from .polynomials import IntPolynomial
 from .roots import all_roots, count_real_roots_in, integer_roots, real_roots_exact
 
 # Frozen 10-significant-digit reference values for the nonzero real roots of
@@ -56,6 +57,7 @@ REFERENCE_REAL_ROOTS: dict[int, tuple[str, ...]] = {
     9: (),
     10: ("-1.697690028", "-0.2701559954"),
 }
+_TRIALS = 200  # random graphs in the recurrence check
 
 
 @dataclass(frozen=True)
@@ -67,14 +69,24 @@ class CheckResult:
     seconds: float
 
 
-def _result(name, claim, passed, detail, started) -> CheckResult:
-    return CheckResult(name, claim, bool(passed), detail, time.time() - started)
+def _check(name: str, claim: str):
+    """Make a check of a body that returns (problems, detail): the check is
+    timed, and passes when the problems list is empty.  Its detail is then
+    the body's, and otherwise the problems joined by "; "."""
+    def wrap(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            started = time.time()
+            problems, detail = body()
+            return CheckResult(name, claim, not problems,
+                               "; ".join(problems) or detail,
+                               time.time() - started)
+        return check
+    return wrap
 
 
 def _matches_10_digits(value: float, reference: str) -> bool:
     ref = float(reference)
-    import math
-
     ulp10 = 10.0 ** (math.floor(math.log10(abs(ref))) - 9)
     return abs(value - ref) < 0.5 * ulp10
 
@@ -107,9 +119,9 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 # -- the checks -----------------------------------------------------------------
 
 
-def check_reference_real_roots() -> CheckResult:
-    started = time.time()
-    claim = "10-digit reference real roots of friendship polynomials, n = 1..10"
+@_check("table-reference-roots",
+        "10-digit reference real roots of friendship polynomials, n = 1..10")
+def check_reference_real_roots():
     problems = []
     for n, refs in REFERENCE_REAL_ROOTS.items():
         poly = family_poly(FamilySpec("friendship", n))
@@ -125,15 +137,13 @@ def check_reference_real_roots() -> CheckResult:
             mid = float((lo + hi) / 2)
             if not _matches_10_digits(mid, ref):
                 problems.append(f"n={n}: {mid!r} != {ref} at 10 digits")
-    detail = "; ".join(problems) if problems else \
-        "all rows match to 10 significant digits"
-    return _result("table-reference-roots", claim, not problems, detail, started)
+    return problems, "all rows match to 10 significant digits"
 
 
-def check_closed_vs_brute() -> CheckResult:
-    started = time.time()
-    claim = ("closed forms equal brute force: friendship, book and contracted "
-             "book n<=12, path, cycle and complete n=26")
+@_check("closed-vs-brute",
+        "closed forms equal brute force: friendship, book and contracted "
+        "book n<=12, path, cycle and complete n=26")
+def check_closed_vs_brute():
     cases = ([(kind, n) for kind in ("friendship", "book", "book_contracted")
               for n in range(1, 13)]
              + [(kind, 26) for kind in ("path", "cycle", "complete")])
@@ -144,47 +154,42 @@ def check_closed_vs_brute() -> CheckResult:
         brute = brute_force_poly(build_family(spec))
         if closed != brute:
             problems.append(f"{spec}: closed {closed} != brute {brute}")
-    detail = "; ".join(problems) if problems else f"{len(cases)} instances agree exactly"
-    return _result("closed-vs-brute", claim, not problems, detail, started)
+    return problems, f"{len(cases)} instances agree exactly"
 
 
-def check_recurrence_identities(trials: int = 200) -> CheckResult:
-    started = time.time()
-    claim = (f"both deletion recurrences equal brute force on {trials} random "
-             f"connected graphs of order <= 8")
+@_check("recurrence-identities",
+        f"both deletion recurrences equal brute force on {_TRIALS} random "
+        f"connected graphs of order <= 8")
+def check_recurrence_identities():
     rng = random.Random(20240131)
-    problems = 0
-    for t in range(trials):
+    mismatches = 0
+    for _ in range(_TRIALS):
         n = rng.randint(2, 8)
         g = random_connected_graph(rng, n)
         u = rng.randrange(n)
         reference = brute_force_poly(g)
-        if recurrence_poly_vertex(g, u) != reference:
-            problems += 1
-        if recurrence_poly_odot(g, u) != reference:
-            problems += 1
-    detail = (f"{problems} mismatches" if problems
-              else f"{trials} trials, exact agreement (both recurrences)")
-    return _result("recurrence-identities", claim, problems == 0, detail, started)
+        mismatches += recurrence_poly_vertex(g, u) != reference
+        mismatches += recurrence_poly_odot(g, u) != reference
+    return ([f"{mismatches} mismatches"] if mismatches else [],
+            f"{_TRIALS} trials, exact agreement (both recurrences)")
 
 
-def check_equivalence_witnesses() -> CheckResult:
-    started = time.time()
-    claim = ("friendship and contracted book share polynomials with "
-             "degree-sequence certificates, n = 2..100")
+@_check("friendship-not-unique",
+        "friendship and contracted book share polynomials with "
+        "degree-sequence certificates, n = 2..100")
+def check_equivalence_witnesses():
     problems = []
     for n in range(2, 101):
         w = verify_friendship_not_unique(n)
         if w.certificate.kind != "degree-sequence":
             problems.append(f"n={n}: certificate {w.certificate.kind}")
-    detail = "; ".join(problems) if problems else "99 witness pairs certified"
-    return _result("friendship-not-unique", claim, not problems, detail, started)
+    return problems, "99 witness pairs certified"
 
 
-def check_real_root_counts() -> CheckResult:
-    started = time.time()
-    claim = ("friendship real-root counts: 1 for odd n<=15, 3 for even n<=14, "
-             "nonzero roots inside (-2,0), never -1")
+@_check("real-root-counts",
+        "friendship real-root counts: 1 for odd n<=15, 3 for even n<=14, "
+        "nonzero roots inside (-2,0), never -1")
+def check_real_root_counts():
     problems = []
     for n in range(1, 16):
         poly = family_poly(FamilySpec("friendship", n))
@@ -210,13 +215,10 @@ def check_real_root_counts() -> CheckResult:
                 problems.append(f"n={n}: interval ({lo},{hi}) escapes (-2,0)")
             if lo <= Fraction(-1) <= hi:
                 problems.append(f"n={n}: interval ({lo},{hi}) contains -1")
-    detail = "; ".join(problems) if problems else "counts and locations certified"
-    return _result("real-root-counts", claim, not problems, detail, started)
+    return problems, "counts and locations certified"
 
 
-_spray_cache: dict[int, tuple[list[complex], list[float]]] = {}
-
-
+@functools.cache
 def _root_spray(n: int) -> tuple[list[complex], list[float]]:
     """The nonzero friendship:n roots outside the disk of radius 0.15 around
     the isolated limit point 0, and their Euclidean distances to the
@@ -226,17 +228,19 @@ def _root_spray(n: int) -> tuple[list[complex], list[float]]:
     The root 0 is exact in every member, and the roots approaching the
     isolated limit 0 are not near the curve, hence the exclusion disk.
     """
-    if n not in _spray_cache:
-        root_set = all_roots(family_poly(FamilySpec("friendship", n)))
-        pts = [z for z in (complex(r) for r in root_set.complex_roots)
-               if abs(z) > 0.15]
-        im_max = max(3.0, max((abs(z.imag) for z in pts), default=0.0) + 0.5)
-        curve = friendship_limit_curve(samples=4001, im_max=im_max)
-        _spray_cache[n] = pts, [distance_to_curve(z, curve) for z in pts]
-    return _spray_cache[n]
+    root_set = all_roots(family_poly(FamilySpec("friendship", n)))
+    pts = [z for z in (complex(r) for r in root_set.complex_roots)
+           if abs(z) > 0.15]
+    im_max = max(3.0, max((abs(z.imag) for z in pts), default=0.0) + 0.5)
+    curve = friendship_limit_curve(samples=4001, im_max=im_max)
+    return pts, [distance_to_curve(z, curve) for z in pts]
 
 
-def check_limit_curve_max_distance() -> CheckResult:
+@_check("limit-curve-max-distance",
+        "max chordal distance from member roots (outside the 0-disk) to the "
+        "closed hyperbola (both branches and infinity) decreases strictly "
+        "over n = 10, 20, 30")
+def check_limit_curve_max_distance():
     """The farthest root approaches the closed hyperbola on the sphere.
 
     BKW places the limit of the friendship roots on the hyperbola and the
@@ -254,10 +258,6 @@ def check_limit_curve_max_distance() -> CheckResult:
     The detail line keeps those Euclidean maxima and the pair's modulus as
     the evidence.
     """
-    started = time.time()
-    claim = ("max chordal distance from member roots (outside the 0-disk) to "
-             "the closed hyperbola (both branches and infinity) decreases "
-             "strictly over n = 10, 20, 30")
     ns = (10, 20, 30)
     chordal = {n: max(chordal_distance_to_hyperbola(z) for z in _root_spray(n)[0])
                for n in ns}
@@ -270,13 +270,13 @@ def check_limit_curve_max_distance() -> CheckResult:
               + ", ".join(f"{euclid[n][0]:.4f}" for n in ns)
               + " attained at |x| = "
               + ", ".join(f"{euclid[n][1]:.3f}" for n in ns))
-    return _result("limit-curve-max-distance", claim, passed, detail, started)
+    return ([] if passed else [detail]), detail
 
 
-def check_limit_curve_tracer() -> CheckResult:
-    started = time.time()
-    claim = ("typical roots approach the hyperbola (median distance falls); "
-             "the tracer recovers the curve to 1e-6 and the isolated point 0")
+@_check("limit-curve-tracer",
+        "typical roots approach the hyperbola (median distance falls); "
+        "the tracer recovers the curve to 1e-6 and the isolated point 0")
+def check_limit_curve_tracer():
     problems = []
     med10 = median(_root_spray(10)[1])
     med30 = median(_root_spray(30)[1])
@@ -294,79 +294,61 @@ def check_limit_curve_tracer() -> CheckResult:
             problems.append(f"tracer residual {worst:.2e} > 1e-6")
     if list(traced.isolated_points) != [0j]:
         problems.append(f"isolated points {traced.isolated_points} != (0,)")
-    detail = ("; ".join(problems) if problems else
-              f"median distance {med10:.4f} -> {med30:.4f}; tracer residual "
-              f"<= 1e-6; isolated point 0")
-    return _result("limit-curve-tracer", claim, not problems, detail, started)
+    return problems, (f"median distance {med10:.4f} -> {med30:.4f}; tracer "
+                      f"residual <= 1e-6; isolated point 0")
 
 
-def check_corona_real_roots() -> CheckResult:
-    started = time.time()
-    claim = ("corona chains: book-over-friendship has real roots exactly "
-             "{-2,0}; even-clique chains {0}; odd-clique chains within {-2,0}")
+@_check("corona-real-roots",
+        "corona chains: book-over-friendship has real roots exactly {-2,0}; "
+        "even-clique chains {0}; odd-clique chains within {-2,0}")
+def check_corona_real_roots():
+    # (label, polynomial, predicate on its integer roots and real-root count);
+    # book:n corona friendship:n has orders 2n+2 and 2n+1
+    cases = [(f"book:{n} over friendship:{n}",
+              corona_poly(family_poly(FamilySpec("friendship", n)),
+                          2 * n + 1, 2 * n + 2),
+              lambda ints, reals: ints == [-2, 0] and reals == 2)
+             for n in (1, 3)]
+    cases += [(f"even clique 2m={2*m} base={base} depth={depth}",
+               corona_family_poly("complete", base, 2 * m, depth),
+               lambda ints, reals: ints == [0] and reals == 1)
+              for base, m, depth in ((1, 1, 1), (2, 1, 2), (1, 2, 2), (3, 2, 1))]
+    cases += [(f"odd clique {2*m+1} base={base} depth={depth}",
+               corona_family_poly("complete", base, 2 * m + 1, depth),
+               lambda ints, reals: set(ints) <= {-2, 0} and reals == len(ints))
+              for base, m, depth in ((1, 0, 1), (1, 1, 1), (2, 1, 2), (1, 2, 2))]
     problems = []
-    for n in (1, 3):
-        # book:n corona friendship:n, orders 2n+2 and 2n+1
-        poly = corona_poly(family_poly(FamilySpec("friendship", n)),
-                           2 * n + 1, 2 * n + 2)
+    for label, poly, holds in cases:
         ints, real_count = integer_roots(poly), len(real_roots_exact(poly))
-        if ints != [-2, 0] or real_count != 2:
-            problems.append(
-                f"book:{n} over friendship:{n}: ints {ints}, reals {real_count}")
-    for base_order, m, depth in ((1, 1, 1), (2, 1, 2), (1, 2, 2), (3, 2, 1)):
-        poly = corona_family_poly("complete", base_order, 2 * m, depth)
-        ints, real_count = integer_roots(poly), len(real_roots_exact(poly))
-        if ints != [0] or real_count != 1:
-            problems.append(
-                f"even clique 2m={2*m} base={base_order} depth={depth}: "
-                f"ints {ints}, reals {real_count}")
-    for base_order, m, depth in ((1, 0, 1), (1, 1, 1), (2, 1, 2), (1, 2, 2)):
-        poly = corona_family_poly("complete", base_order, 2 * m + 1, depth)
-        ints, real_count = integer_roots(poly), len(real_roots_exact(poly))
-        if not set(ints) <= {-2, 0} or real_count != len(ints):
-            problems.append(
-                f"odd clique {2*m+1} base={base_order} depth={depth}: "
-                f"ints {ints}, reals {real_count}")
-    detail = "; ".join(problems) if problems else \
-        "all corona instances have certified integer-only real roots"
-    return _result("corona-real-roots", claim, not problems, detail, started)
+        if not holds(ints, real_count):
+            problems.append(f"{label}: ints {ints}, reals {real_count}")
+    return problems, "all corona instances have certified integer-only real roots"
 
 
-def check_integer_root_conjecture() -> CheckResult:
-    started = time.time()
-    claim = "integer domination roots lie in {-2, 0} for every graph of order <= 6"
+@_check("integer-root-conjecture-scan",
+        "integer domination roots lie in {-2, 0} for every graph of order <= 6")
+def check_integer_root_conjecture():
+    graphs = [(order, g) for order in BUNDLED_ORDERS for g in bundled_catalog(order)]
     findings = []
-    scanned = 0
-    for order in BUNDLED_ORDERS:
-        for g in bundled_catalog(order):
-            scanned += 1
-            ints = integer_roots(brute_force_poly(g))
-            extra = set(ints) - {-2, 0}
-            if extra:
-                findings.append(f"FINDING: order-{order} graph with integer "
-                                f"roots {sorted(extra)} outside {{-2,0}}")
-    detail = "; ".join(findings) if findings else \
-        f"{scanned} graphs scanned, no integer root outside {{-2, 0}}"
-    return _result("integer-root-conjecture-scan", claim, not findings, detail,
-                   started)
+    for order, g in graphs:
+        extra = set(integer_roots(brute_force_poly(g))) - {-2, 0}
+        if extra:
+            findings.append(f"FINDING: order-{order} graph with integer "
+                            f"roots {sorted(extra)} outside {{-2,0}}")
+    return findings, f"{len(graphs)} graphs scanned, no integer root outside {{-2, 0}}"
 
 
-def check_parity_invariant() -> CheckResult:
-    started = time.time()
-    claim = "every computed polynomial is odd at 1 (and nonzero at -1)"
-    polys: list[tuple[str, IntPolynomial]] = []
-    for kind in ("friendship", "book", "book_contracted", "complete", "empty",
-                 "path", "star"):
-        for n in range(1, 13):
-            polys.append((f"{kind}:{n}", family_poly(FamilySpec(kind, n))))
-    for n in range(3, 13):
-        polys.append((f"cycle:{n}", family_poly(FamilySpec("cycle", n))))
-    labels, graphs = [], []
-    for order in BUNDLED_ORDERS:
-        for i, g in enumerate(bundled_catalog(order)):
-            labels.append(f"catalog:{order}:{i}")
-            graphs.append(g)
-    polys += zip(labels, brute_force_polys(graphs))
+@_check("parity-invariant",
+        "every computed polynomial is odd at 1 (and nonzero at -1)")
+def check_parity_invariant():
+    polys = [(f"{kind}:{n}", family_poly(FamilySpec(kind, n)))
+             for kind in ("friendship", "book", "book_contracted", "complete",
+                          "empty", "path", "star") for n in range(1, 13)]
+    polys += [(f"cycle:{n}", family_poly(FamilySpec("cycle", n))) for n in range(3, 13)]
+    catalog = [(f"catalog:{order}:{i}", g) for order in BUNDLED_ORDERS
+               for i, g in enumerate(bundled_catalog(order))]
+    polys += zip([label for label, _ in catalog],
+                 brute_force_polys([g for _, g in catalog]))
     for n in (1, 3):
         polys.append((f"corona:{n}",
                       corona_poly(family_poly(FamilySpec("friendship", n)),
@@ -377,9 +359,7 @@ def check_parity_invariant() -> CheckResult:
             problems.append(f"{label}: even value at 1")
         if poly.eval_int(-1) == 0:
             problems.append(f"{label}: -1 is a root")
-    detail = "; ".join(problems) if problems else \
-        f"{len(polys)} polynomials, all odd at 1 and nonzero at -1"
-    return _result("parity-invariant", claim, not problems, detail, started)
+    return problems, f"{len(polys)} polynomials, all odd at 1 and nonzero at -1"
 
 
 def _exported_csv(family: str, n_max: int, samples: int) -> tuple[str, str] | None:
@@ -403,15 +383,14 @@ def _exported_csv(family: str, n_max: int, samples: int) -> tuple[str, str] | No
     return texts[0], texts[1]
 
 
-def check_export_pipeline() -> CheckResult:
-    started = time.time()
-    claim = ("root-scatter and curve data exports are well-formed, "
-             "residual-checked, and byte-deterministic")
+@_check("export-pipeline",
+        "root-scatter and curve data exports are well-formed, "
+        "residual-checked, and byte-deterministic")
+def check_export_pipeline():
     outputs = [_exported_csv("friendship", 6, 257) for _ in range(2)]
     book = _exported_csv("book", 4, 129)
     if None in (*outputs, book):
-        return _result("export-pipeline", claim, False,
-                       "dompoly limits --export csv exited nonzero", started)
+        return ["dompoly limits --export csv exited nonzero"], ""
     problems = []
     if outputs[0] != outputs[1]:
         problems.append("repeated export differs byte-for-byte")
@@ -438,10 +417,9 @@ def check_export_pipeline() -> CheckResult:
         problems.append(f"book curve pieces incomplete: {sorted(book_pieces)}")
     if len(book_scatter.splitlines()) < 10:
         problems.append("book scatter suspiciously small")
-    detail = "; ".join(problems) if problems else (
-        f"{len(scatter_rows) - 1} scatter rows, {len(curve_rows) - 1} curve "
-        f"rows, identical across runs; book export carries all three arcs")
-    return _result("export-pipeline", claim, not problems, detail, started)
+    return problems, (f"{len(scatter_rows) - 1} scatter rows, "
+                      f"{len(curve_rows) - 1} curve rows, identical across "
+                      f"runs; book export carries all three arcs")
 
 
 ALL_CHECKS = (

@@ -43,7 +43,7 @@ def test_criterion_2_closed_form_vs_brute_force():
 
 
 def test_criterion_3_recurrence_identities():
-    report(check_recurrence_identities(trials=200))
+    report(check_recurrence_identities())
 
 
 def test_criterion_4_friendship_not_unique():

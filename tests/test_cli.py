@@ -13,6 +13,8 @@ import pytest
 import dompoly.cli
 from dompoly.cli import (
     EXIT_BUDGET,
+    EXIT_DISAGREE,
+    EXIT_FAIL,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
@@ -114,11 +116,8 @@ def test_graph6_over_budget_exits_budget(capsys, command, order):
     assert "budget" in err and out == ""
 
 
-@pytest.mark.parametrize("command", ["poly", "roots"])
-def test_graph6_file_over_budget_rejected_before_decoding(tmp_path, capsys,
-                                                          monkeypatch, command):
-    """The vertex count in the header decides the budget: an over-budget
-    line is never decoded, and a malformed line after it still exits 2."""
+def _refuse_over_budget_decodes(monkeypatch):
+    """Make decoding a graph over the enumeration budget fail the test."""
     original = Graph._from_adj.__func__
 
     def small_only(cls, adj):
@@ -126,12 +125,20 @@ def test_graph6_file_over_budget_rejected_before_decoding(tmp_path, capsys,
         return original(cls, adj)
 
     monkeypatch.setattr(Graph, "_from_adj", classmethod(small_only))
+
+
+@pytest.mark.parametrize("command", ["poly", "roots"])
+def test_graph6_file_over_budget_rejected_before_decoding(tmp_path, capsys,
+                                                          monkeypatch, command):
+    """The vertex count in the header decides the budget: an over-budget
+    line is never decoded, and a malformed line after it still exits 2."""
+    _refuse_over_budget_decodes(monkeypatch)
     path = tmp_path / "big.g6"
     path.write_text(f"A_\n{_path_graph6(70)}\n")
     code, out, err = run(capsys, command, "--graph6-file", str(path))
     assert code == EXIT_BUDGET
     assert err == ("error: 70 vertices needs 2^70 subsets, over the 2^26 "
-                   "budget; use family_poly or a recurrence instead\n")
+                   "budget; use family_poly instead\n")
     assert out == ""
     path.write_text(f"A_\n{_path_graph6(70)}\nA_x\n")
     code, _, err = run(capsys, command, "--graph6-file", str(path))
@@ -139,7 +146,10 @@ def test_graph6_file_over_budget_rejected_before_decoding(tmp_path, capsys,
     assert "trailing data" in err
 
 
-def test_equiv_catalog_skips_over_budget(tmp_path, capsys):
+def test_equiv_catalog_skips_over_budget(tmp_path, capsys, monkeypatch):
+    """equiv skips an over-budget line by its header, without decoding it,
+    and reports it as partition_catalog reports an over-budget graph."""
+    _refuse_over_budget_decodes(monkeypatch)
     big = _path_graph6(70)
     path = tmp_path / "mixed.g6"
     path.write_text(f"{big}\nA_\n")
@@ -147,13 +157,56 @@ def test_equiv_catalog_skips_over_budget(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["graph_count"] == 1
-    assert [gid for gid, _ in payload["skipped"]] == [big]
-    assert "budget" in payload["skipped"][0][1]
+    assert payload["skipped"] == [[big, "70 vertices needs 2^70 subsets, over "
+                                        "the 2^26 budget; use family_poly instead"]]
 
 
-def test_poly_closed_unavailable_for_graph(capsys):
+def test_equiv_text_lists_skipped_lines(tmp_path, capsys):
+    big = _path_graph6(30)
+    path = tmp_path / "mixed.g6"
+    path.write_text(f"A_\n{big}\n")
+    code, out, _ = run(capsys, "equiv", "--catalog", str(path))
+    assert code == EXIT_OK
+    assert out.endswith(f"skipped {big}: 30 vertices needs 2^30 subsets, over "
+                        f"the 2^26 budget; use family_poly instead\n")
+
+
+def test_poly_closed_unavailable_for_graph(tmp_path, capsys):
     code, _, err = run(capsys, "poly", "--graph6", "A_", "--method", "closed")
     assert code == EXIT_PARSE
+    assert err == ("error: no closed form for an explicit graph; "
+                   "use --method brute\n")
+    # the method alone decides: the file's lines are never read
+    path = tmp_path / "bad.g6"
+    path.write_text("not graph6\n")
+    assert run(capsys, "poly", "--graph6-file", str(path),
+               "--method", "closed") == (EXIT_PARSE, "", err)
+
+
+def test_poly_all_reports_disagreement(capsys, monkeypatch):
+    wrong = family_poly(FamilySpec("path", 3))
+    monkeypatch.setattr(dompoly.cli, "recurrence_poly_vertex", lambda g, u: wrong)
+    code, out, _ = run(capsys, "poly", "--family", "friendship:2",
+                       "--method", "all")
+    assert code == EXIT_DISAGREE
+    assert f"recurrence-vertex: {wrong}\n" in out
+    assert out.endswith("verdict: DISAGREE\n")
+
+
+def test_verify_failure_exits_fail(capsys, monkeypatch):
+    from dompoly import verification
+
+    @verification._check("always-fails", "a check that fails")
+    def failing():
+        return ["first problem", "second problem"], "never shown"
+
+    monkeypatch.setattr(verification, "ALL_CHECKS", (failing,))
+    code, out, err = run(capsys, "verify")
+    assert code == EXIT_FAIL
+    assert out == ("[FAIL] always-fails  a check that fails\n"
+                   "                     -> first problem; second problem\n"
+                   "0/1 checks passed\n")
+    assert err == "first failing check: always-fails\n"
 
 
 def test_poly_graph6_file(tmp_path, capsys):

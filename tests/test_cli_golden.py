@@ -35,6 +35,8 @@ CASES = {
                         "--precision", "128"],
     "roots_graph6_csv": ["roots", "--graph6", "Cl", "--format", "csv"],
     "roots_real_only": ["roots", "--family", "friendship:6", "--real-only"],
+    "roots_real_only_csv": ["roots", "--family", "friendship:6", "--real-only",
+                            "--format", "csv"],
     "roots_star15_json": ["roots", "--family", "star:15", "--format", "json"],
     "limits_text": ["limits", "--family", "friendship", "--n-max", "4",
                     "--precision", "128"],
@@ -50,6 +52,7 @@ CASES = {
                          "--export", "json", "--output-dir", "out"],
     "equiv_order4": ["equiv", "--order", "4"],
     "equiv_order5_json": ["equiv", "--order", "5", "--format", "json"],
+    "verify": ["verify"],
 }
 
 
