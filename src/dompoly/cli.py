@@ -71,34 +71,12 @@ EXIT_BUDGET = 3
 EXIT_DISAGREE = 4
 EXIT_NUMERIC = 5
 
-PRECISION_ENV = "DOMPOLY_PRECISION"
 MAX_RESOLUTION = 2000  # the tracer grid costs O(resolution^2)
 # each analytic piece holds --samples points, and time, memory and file size
 # grow linearly: at 10^5 a book JSON export takes 2.3 s, 147 MB peak RSS and
 # writes 29 MB (2-core x86-64 VM, CPython 3.11; json.dump took 3.7 s that day)
 MAX_SAMPLES = 100_000
 _JSON_CHUNK = 4096  # pieces joined per write by _write_json
-
-
-def _default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{PRECISION_ENV}={raw!r} is not an integer") from None
-    if value < MIN_PRECISION:
-        raise ValueError(f"{PRECISION_ENV} must be >= {MIN_PRECISION}")
-    return value
-
-
-def _precision_and_tol(args) -> tuple[int, float]:
-    """The working precision (--precision, else the environment default)
-    and the residual tolerance (--tol, else `default_tol` of that
-    precision) of a roots or limits command."""
-    precision = args.precision or _default_precision()
-    return precision, default_tol(precision) if args.tol is None else args.tol
 
 
 def _tolerance(text: str) -> float:
@@ -172,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_numeric(sp):
         sp.add_argument("--precision", type=_bounded_int(MIN_PRECISION),
-                        default=None,
+                        default=DEFAULT_PRECISION,
                         help=f"working precision in bits (>= {MIN_PRECISION}; "
-                             f"default ${PRECISION_ENV} or {DEFAULT_PRECISION})")
+                             f"default {DEFAULT_PRECISION})")
         sp.add_argument("--tol", type=_tolerance, default=None,
                         help="residual tolerance for the complex solver "
                              "(default 1e-20, or 2^(8 - precision) when "
@@ -472,7 +450,8 @@ def _root_rows(root_set: RootSet) -> list[list[str]]:
 
 
 def cmd_roots(args) -> int:
-    precision, tol = _precision_and_tol(args)
+    precision = args.precision
+    tol = default_tol(precision) if args.tol is None else args.tol
     jobs = _resolve_inputs(args)
     reports = []
     for label, spec, graph in jobs:
@@ -590,7 +569,8 @@ def _scatter_rows(family: str, n_max: int, precision: int, tol: float):
 
 
 def cmd_limits(args) -> int:
-    precision, tol = _precision_and_tol(args)
+    precision = args.precision
+    tol = default_tol(precision) if args.tol is None else args.tol
     grid = _parse_grid(args.grid, args.resolution)
     rows, max_modulus = _scatter_rows(args.family, args.n_max, precision, tol)
     lines = [f"# {args.family} family, members 1..{args.n_max}"]

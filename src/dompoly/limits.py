@@ -53,10 +53,11 @@ class CurvePiece:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
-        """The samples as coordinate arrays (re, im), built once per piece.
+        """The piece's segments as arrays, built once per piece: start re,
+        start im, step re, step im and squared length.
 
-        A polyline (connected, at least two samples) gets its segments
-        instead: start re, start im, step re, step im and squared length.
+        A polyline (connected, at least two samples) joins consecutive
+        samples; any other piece is a zero-length segment at each sample.
         The squared length is Python's ``abs(b - a) ** 2``: np.float_power
         calls libm pow as ``**`` does, where h * h and np.power differ from
         it in the last bit for about 1 in 1,200 lengths.
@@ -64,7 +65,8 @@ class CurvePiece:
         z = np.array(self.points, dtype=complex)
         re, im = z.real, z.imag
         if not (self.connected and len(self.points) >= 2):
-            return re, im
+            zero = np.zeros_like(re)
+            return re, im, zero, zero, zero
         step_re, step_im = re[1:] - re[:-1], im[1:] - im[:-1]
         length2 = np.float_power(np.hypot(step_re, step_im), 2.0)
         return re[:-1], im[:-1], step_re, step_im, length2
@@ -444,26 +446,22 @@ def distance_to_curve(z: complex, curve: LimitCurve) -> float:
     """Minimum Euclidean distance from z to the curve's sampled arcs.
 
     Connected pieces are treated as polylines (distance to each segment via
-    orthogonal projection); point-cloud pieces use the nearest sample.
+    orthogonal projection); a point-cloud piece's samples are zero-length
+    segments, so they give the nearest sample.
     Isolated points are not part of the curve and are ignored.
     """
     if not curve.pieces:
         raise ValueError("curve has no pieces")
     best = math.inf
     for piece in curve.pieces:
-        arrays = piece._arrays
-        if len(arrays) == 2:
-            re, im = arrays
-            dist = np.hypot(z.real - re, z.imag - im)
-        else:
-            a_re, a_im, ab_re, ab_im, length2 = arrays
-            az_re, az_im = z.real - a_re, z.imag - a_im
-            # a zero-length segment keeps t = 0, so its distance is |z - a|
-            t = np.divide(az_re * ab_re + az_im * ab_im, length2,
-                          out=np.zeros_like(length2), where=length2 != 0.0)
-            t = np.where(t > 0.0, t, 0.0)  # min(1.0, max(0.0, t)), NaN -> 0.0
-            t = np.where(t < 1.0, t, 1.0)
-            dist = np.hypot(z.real - (a_re + t * ab_re), z.imag - (a_im + t * ab_im))
+        a_re, a_im, ab_re, ab_im, length2 = piece._arrays
+        az_re, az_im = z.real - a_re, z.imag - a_im
+        # a zero-length segment keeps t = 0, so its distance is |z - a|
+        t = np.divide(az_re * ab_re + az_im * ab_im, length2,
+                      out=np.zeros_like(length2), where=length2 != 0.0)
+        t = np.where(t > 0.0, t, 0.0)  # min(1.0, max(0.0, t)), NaN -> 0.0
+        t = np.where(t < 1.0, t, 1.0)
+        dist = np.hypot(z.real - (a_re + t * ab_re), z.imag - (a_im + t * ab_im))
         # fmin skips NaN as Python's min(best, d) does
         best = min(best, float(np.fmin.reduce(dist, initial=math.inf)))
     return best

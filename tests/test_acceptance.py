@@ -10,7 +10,14 @@ so the Euclidean maximum grows while the chordal one falls; see the check's
 docstring for the evidence.
 """
 
+from types import SimpleNamespace
+
+import pytest
+
+from dompoly.limits import LimitCurve
+from dompoly.polynomials import ONE, X
 from dompoly.verification import (
+    ALL_CHECKS,
     check_closed_vs_brute,
     check_corona_real_roots,
     check_equivalence_witnesses,
@@ -79,3 +86,46 @@ def test_criterion_9_parity_invariant():
 
 def test_criterion_10_export_pipeline():
     report(check_export_pipeline())
+
+
+# One broken dependency per check: (attribute to patch, replacement, a
+# fragment the failing check's detail must contain).  A check missing from
+# the table fails its test below.
+BREAKAGES = {
+    "check_reference_real_roots": ("dompoly.verification.real_roots_exact",
+                                   lambda poly, **kw: [(0, 0)],
+                                   "nonzero real roots, expected 2"),
+    "check_closed_vs_brute": ("dompoly.verification.brute_force_poly",
+                              lambda g: ONE, "!= brute"),
+    "check_recurrence_identities": ("dompoly.verification.recurrence_poly_odot",
+                                    lambda g, u: ONE, "200 mismatches"),
+    "check_equivalence_witnesses": (
+        "dompoly.verification.verify_friendship_not_unique",
+        lambda n: SimpleNamespace(certificate=SimpleNamespace(kind="size")),
+        "certificate size"),
+    "check_real_root_counts": ("dompoly.verification.real_roots_exact",
+                               lambda poly: [], "expected only the root 0"),
+    "check_limit_curve_max_distance": (
+        "dompoly.verification.chordal_distance_to_hyperbola",
+        lambda z: 1.0, "(not decreasing)"),
+    "check_limit_curve_tracer": ("dompoly.verification.bkw_limit_points",
+                                 lambda family, region: LimitCurve(()),
+                                 "tracer produced no points"),
+    "check_corona_real_roots": ("dompoly.verification.integer_roots",
+                                lambda poly: [], "ints [], reals"),
+    "check_integer_root_conjecture": ("dompoly.verification.integer_roots",
+                                      lambda poly: [-1], "FINDING"),
+    "check_parity_invariant": ("dompoly.verification.family_poly",
+                               lambda spec: 2 * X, "even value at 1"),
+    "check_export_pipeline": ("dompoly.cli.main", lambda argv: 2,
+                              "exited nonzero"),
+}
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.__name__)
+def test_every_check_can_fail(check, monkeypatch):
+    target, replacement, fragment = BREAKAGES[check.__name__]
+    monkeypatch.setattr(target, replacement)
+    result = check()
+    assert result.passed is False
+    assert fragment in result.detail, result.detail

@@ -290,15 +290,16 @@ def test_roots_deterministic(capsys):
     assert first == second
 
 
-def test_precision_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("DOMPOLY_PRECISION", "128")
-    code, out, _ = run(capsys, "roots", "--family", "friendship:2",
-                       "--format", "json")
-    assert code == EXIT_OK
-    assert json.loads(out)[0]["precision_bits"] == 128
-    monkeypatch.setenv("DOMPOLY_PRECISION", "banana")
-    code, _, err = run(capsys, "roots", "--family", "friendship:2")
-    assert code == EXIT_PARSE
+def test_precision_env_var_is_ignored(capsys, monkeypatch):
+    # --precision alone sets the working precision
+    args = ("roots", "--family", "friendship:2", "--format", "json")
+    monkeypatch.delenv("DOMPOLY_PRECISION", raising=False)
+    code, expected, _ = run(capsys, *args)
+    assert code == EXIT_OK and json.loads(expected)[0]["precision_bits"] == 256
+    for value in ("128", "banana"):
+        monkeypatch.setenv("DOMPOLY_PRECISION", value)
+        code, out, _ = run(capsys, *args)
+        assert code == EXIT_OK and out == expected
 
 
 def test_output_file(tmp_path, capsys):
@@ -558,8 +559,7 @@ def test_roots_conjugates_print_equal_residuals(capsys, spec):
         assert residual[re, im[1:]] == residual[re, im]
 
 
-def test_parser_built_once_and_options_do_not_leak(capsys, monkeypatch):
-    monkeypatch.delenv("DOMPOLY_PRECISION", raising=False)
+def test_parser_built_once_and_options_do_not_leak(capsys):
     code, out, _ = run(capsys, "roots", "--family", "friendship:2",
                        "--format", "json", "--precision", "128")
     assert code == EXIT_OK and json.loads(out)[0]["precision_bits"] == 128

@@ -254,6 +254,11 @@ def test_graph6_errors_carry_offsets():
         parse_graph6("A_!!")  # trailing data
     with pytest.raises(Graph6ParseError):
         parse_graph6("A" + chr(63 + 1))  # nonzero padding bit for n=2
+    for text, width in (("~??", 3), ("~~????", 6)):  # vertex counts cut short
+        with pytest.raises(Graph6ParseError,
+                           match=f"truncated {width}-byte vertex count") as err:
+            parse_graph6(text)
+        assert err.value.offset == len(text)
     # a header claiming 2^35 vertices fails on its missing edge bytes before
     # anything is sized by that count
     tracemalloc.start()
@@ -267,6 +272,8 @@ def test_graph6_errors_carry_offsets():
 
 
 def test_graph_validation():
+    with pytest.raises(ValueError):
+        Graph(-1)
     with pytest.raises(ValueError):
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError):

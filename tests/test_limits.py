@@ -90,6 +90,8 @@ def test_friendship_curve_samples_on_hyperbola():
         for z in piece.points:
             assert hyperbola_residual(z) <= 1e-12
     assert curve.isolated_points == (0j,)
+    with pytest.raises(ValueError, match="samples"):
+        friendship_limit_curve(samples=1)
 
 
 def test_friendship_curve_real_axis_crossings():
@@ -105,6 +107,8 @@ def test_friendship_curve_real_axis_crossings():
 
 
 def test_book_curve_pieces():
+    with pytest.raises(ValueError, match="samples"):
+        book_limit_curve(samples=1)
     curve = book_limit_curve(samples=301)
     by_id = {piece.implicit_id: piece for piece in curve.pieces}
     assert set(by_id) == {"circle", "hyperbola", "modulus-balance"}

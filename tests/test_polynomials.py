@@ -108,6 +108,10 @@ def test_ring_axioms_random():
         assert p * q == q * p
         assert p * (q + r) == p * q + p * r
         assert (p * q) * r == p * (q * r)
+        k = rng.randint(-9, 9)
+        assert k - p == -(p - k) == P([k]) - p
+        assert P([k]) == k
+        assert (p == k) is (p == P([k]))
 
 
 def test_eval_multiplicative_random():
@@ -244,6 +248,11 @@ def test_exact_div():
     q = P([3, 0, -2])
     assert exact_div(P([4, -5]) * q, q) == P([4, -5])
     assert exact_div(-6 * X ** 3, -2 * X) == 3 * X ** 2
+    assert exact_div(P(), X + ONE) == P()
+    with pytest.raises(ZeroDivisionError):
+        exact_div(X, P())
+    with pytest.raises(ZeroDivisionError):
+        pseudo_rem(X, P())
 
 
 def test_serialization_roundtrip():
