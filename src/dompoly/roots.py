@@ -4,12 +4,17 @@ integer root detection.
 
 Exactness split: anything feeding a count ("how many real roots", "is -2 a
 root") goes through integer/rational arithmetic and is certified; complex
-root positions come from a simultaneous-iteration solver and carry a
-normalized residual bound instead.  The solver runs in doubles, then at the
-working precision in fixed point, on (re, im) pairs of Python integers, and
-returns each root as a pair of exact dyadic rationals.  A root's residual is
-that of its square-free factor at the returned root, evaluated in the same
-fixed point: the one value that the tolerance gates and the CLI prints.
+root positions are numerical and carry a normalized residual bound instead.
+The real roots of each square-free factor come from its exact isolating
+intervals, brought to the working precision by safeguarded Newton; the
+nonreal ones from a simultaneous-iteration solver that moves one member of
+each conjugate pair, in the upper half-plane, with the real roots held
+fixed.  Both run in fixed point, on (re, im) pairs of Python integers (the
+solver in doubles first), and return each root as a pair of exact dyadic
+rationals: a real root with im exactly 0, a pair as (re, im) and
+(re, -im).  A root's residual is that of its square-free factor at the
+returned root, evaluated in the same fixed point: the one value that the
+tolerance gates and the CLI prints.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ _MAX_SWEEPS = 400  # Aberth sweeps per phase before it counts as stalled
 
 
 class ConvergenceError(RuntimeError):
-    """Aberth iteration failed to reach the residual tolerance.
+    """A root missed the residual tolerance.
 
-    `best` holds the last iterates as (re, im, residual) triples.
+    `best` holds every root found, as (re, im, residual) triples.
     """
 
     def __init__(self, message: str, best: list):
@@ -78,19 +83,24 @@ def _float(x: Fraction) -> float:
 class SolveDiagnostics:
     """What the complex solver did for one square-free factor.
 
-    float_sweeps counts the double-precision Aberth sweeps whose iterates
-    seeded the multiprecision phase (0 when that phase was skipped);
-    mp_sweeps counts the sweeps of that phase, run on integer pairs in a
-    fixed point fine enough to keep `precision` relative bits at every
-    possible root, each product and quotient floored part by part (see
-    `_aberth_roots`).  converged says every root passed the backward-error
-    test at 2^-precision before the Newton polish.  polish_steps counts the
+    real_roots counts the roots taken from the exact isolation, so that
+    the iteration ran on (degree - real_roots)/2 iterates, one per
+    conjugate pair (none for a linear factor or one whose roots are all
+    real: then both sweep counts are 0).  float_sweeps counts the
+    double-precision Aberth sweeps whose iterates seeded the
+    multiprecision phase (0 when that phase was skipped); mp_sweeps counts
+    the sweeps of that phase, run on integer pairs in a fixed point fine
+    enough to keep `precision` relative bits at every possible root, each
+    product and quotient floored part by part (see `_aberth_roots`).
+    converged says every iterate passed the backward-error test at
+    2^-precision before the Newton polish.  polish_steps counts the
     Newton steps of the polish, each one p(z)/p'(z) in that fixed point:
-    at most 4 per root, fewer where a step is 0; it takes no part in
+    at most 4 per iterate, fewer where a step is 0; it takes no part in
     equality.
     """
 
     degree: int
+    real_roots: int
     float_sweeps: int
     mp_sweeps: int
     converged: bool
@@ -103,9 +113,11 @@ class RootSet:
     """All roots of an integer polynomial.
 
     complex_roots lists the distinct nonzero roots (numerical, with residual
-    bounds and exact multiplicities).  real_intervals isolates the distinct
-    nonzero real roots in disjoint rational intervals, collapsed to
-    lo == hi for roots found exactly.  integer_roots is exact and includes
+    bounds and exact multiplicities): one per interval of real_intervals,
+    inside it and with im exactly 0, and each nonreal root beside its
+    exact conjugate.  real_intervals isolates the distinct nonzero real
+    roots in disjoint rational intervals, collapsed to lo == hi for roots
+    found exactly.  integer_roots is exact and includes
     0 whenever zero_multiplicity >= 1.  diagnostics holds one
     SolveDiagnostics per square-free factor the complex solver ran on; it
     takes no part in equality and is never printed.
@@ -399,10 +411,12 @@ def _refine(square_free: IntPolynomial, lo: Fraction, hi: Fraction,
     secant's error shrinks quadratically, so a few evaluations replace the
     one per halving of bisection.
     """
-    k = 0
-    while (hi - lo) / (1 << k) > width:
-        k += 1
-    h = (hi - lo) / (1 << k)
+    span = hi - lo
+    # the least k with 2^k >= ceil(span/width), in integers
+    a = span.numerator * width.denominator
+    b = width.numerator * span.denominator
+    k = ((a + b - 1) // b - 1).bit_length()
+    h = span / (1 << k)
     den = math.lcm(lo.denominator, h.denominator)
     base = lo.numerator * (den // lo.denominator)
     unit = h.numerator * (den // h.denominator)
@@ -516,19 +530,22 @@ def default_tol(precision: int) -> float:
 
 def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
               tol: float | None = None) -> RootSet:
-    """Every root of p: the x^k factor handled exactly, remaining roots by
-    simultaneous iteration on each square-free factor, Newton-polished, with
-    certified real data alongside.
+    """Every root of p: the x^k factor handled exactly, the real roots of
+    each square-free factor brought from their exact isolating intervals
+    onto the working precision by safeguarded Newton, and its nonreal roots
+    by simultaneous iteration on one member of each conjugate pair,
+    Newton-polished.
 
     A root's residual is |f(z)| / (max|c_i| * max(1,|z|)^deg f), where f is
     the square-free factor it is a root of and z the returned root, rounded
     to the working precision.  It is evaluated in the solver's fixed point,
     whose error bound `_aberth_roots` states, and a residual above `tol`
     raises ConvergenceError; `tol` defaults to `default_tol(precision)`.
-    The iteration starts from Newton-polygon points
-    computed from the integer coefficients, runs in double precision first
-    and finishes at the working precision, all deterministically, so
-    repeated runs give identical output.
+    A real root has im exactly 0, and a nonreal root's conjugate is listed
+    too, with equal re and residual.  The iteration starts from
+    Newton-polygon points computed from the integer coefficients, runs in
+    double precision first and finishes at the working precision, all
+    deterministically, so repeated runs give identical output.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
@@ -538,11 +555,17 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
         tol = default_tol(precision)
     k0 = p.valuation
     cofactor = IntPolynomial(p.coeffs[k0:])
+    intervals = real_roots_exact(cofactor)
     complex_roots: list[ComplexRoot] = []
     diagnostics: list[SolveDiagnostics] = []
     if cofactor.degree >= 1:
         for factor, mult in square_free_decomposition(cofactor):
-            roots, diag = _aberth_roots(factor, precision, tol)
+            # the isolating intervals of this factor's roots: the factors
+            # are coprime and vanish at no open interval's end, so exactly
+            # one changes sign across each interval or vanishes at its point
+            mine = [(lo, hi) for lo, hi in intervals
+                    if _sign_at(factor, lo) * _sign_at(factor, hi) <= 0]
+            roots, diag = _aberth_roots(factor, mine, precision, tol)
             diagnostics.append(diag)
             complex_roots += [ComplexRoot(*root, mult) for root in roots]
     # the exact parts break ties between parts beyond the range of doubles
@@ -551,7 +574,7 @@ def all_roots(p: IntPolynomial, precision: int = DEFAULT_PRECISION,
         degree=p.degree,
         zero_multiplicity=k0,
         complex_roots=tuple(complex_roots),
-        real_intervals=tuple(real_roots_exact(cofactor)),
+        real_intervals=tuple(intervals),
         integer_roots=tuple(integer_roots(p)),
         diagnostics=tuple(diagnostics),
     )
@@ -593,38 +616,60 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _aberth_sweeps(coeffs, roots: list) -> tuple[int, bool]:
-    """Aberth-Ehrlich sweeps in double precision over `roots`, updated in
-    place.  A root is frozen once it passes Bini's backward-error test
+def _upper_starts(coeffs, u: int) -> list[tuple[complex, int]]:
+    """The Newton-polygon starts (z, k) folded into the upper half-plane,
+    z conjugated where Im z < 0, and of those the u whose z*2^k has the
+    largest imaginary part, compared exactly: a positive Im z = m*2^e with
+    1/2 <= m < 1 orders by e + k, then by m, and 0 comes last."""
+    def height(start):
+        m, e = math.frexp(start[0].imag)
+        return m > 0, e + start[1], m
+
+    folded = [(z.conjugate() if z.imag < 0 else z, k)
+              for z, k in _newton_polygon_starts(coeffs)]
+    folded.sort(key=height, reverse=True)
+    return folded[:u]
+
+
+def _aberth_sweeps(coeffs, upper: list, reals: list) -> tuple[int, bool]:
+    """Aberth-Ehrlich sweeps in double precision over `upper`, one iterate
+    per conjugate pair of nonreal roots, updated in place, with the real
+    roots `reals` held fixed.  Each iterate z is repelled by every other
+    root: the other iterates and their conjugates, its own conjugate and
+    the real roots.  An update that crosses the real axis is reflected
+    back.  An iterate is frozen once it passes Bini's backward-error test
     |p(z)| <= 4*d*eps*sum|c_i||z|^i with eps = 2^-53, i.e. once it is an
-    exact root of a polynomial within rounding of p; the others keep moving,
-    repelled by all.  Returns the sweeps run and whether every root was
-    frozen.  `_fixed_sweeps` is the same loop at the working precision.
+    exact root of a polynomial within rounding of p; the others keep
+    moving.  Returns the sweeps run and whether every iterate was frozen.
+    `_fixed_sweeps` is the same loop at the working precision.
     """
     d = len(coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     moduli = [abs(c) for c in coeffs]
     bound = 4 * d * 2.0 ** -53
-    frozen = [False] * d
+    frozen = [False] * len(upper)
     for sweep in range(1, _MAX_SWEEPS + 1):
-        for j in range(d):
+        for j, z in enumerate(upper):
             if frozen[j]:
                 continue
-            z = roots[j]
             pz = horner(coeffs, z)
             if abs(pz) <= bound * horner(moduli, abs(z)):
                 frozen[j] = True
                 continue
             try:
-                repulsion = 0
-                for i in range(d):
+                repulsion = 1 / (z - z.conjugate())
+                for i, x in enumerate(upper):
                     if i != j:
-                        repulsion += 1 / (z - roots[i])
-                roots[j] = z - pz / (horner(dcoeffs, z) - pz * repulsion)
+                        repulsion += 1 / (z - x) + 1 / (z - x.conjugate())
+                for x in reals:
+                    repulsion += 1 / (z - x)
+                z -= pz / (horner(dcoeffs, z) - pz * repulsion)
+                upper[j] = z.conjugate() if z.imag < 0 else z
             except ZeroDivisionError:
-                # coincident iterates or a zero Aberth denominator
-                roots[j] = z + bound * (1 + abs(z))
-            if not cmath.isfinite(roots[j]):
+                # an iterate on the real axis, coincident iterates or a
+                # zero Aberth denominator
+                upper[j] = z + 1j * bound * (1 + abs(z))
+            if not cmath.isfinite(upper[j]):
                 # NaN spreads to every later update, and an infinite
                 # iterate stays infinite or freezes there, so the sweeps
                 # cannot end finite and `_float_phase` drops them anyway
@@ -634,23 +679,23 @@ def _aberth_sweeps(coeffs, roots: list) -> tuple[int, bool]:
     return _MAX_SWEEPS, False
 
 
-def _fixed_sweeps(coeffs, roots: list, prec: int, s: int) -> tuple[int, bool]:
+def _fixed_sweeps(coeffs, upper: list, reals: list, prec: int, s: int) -> tuple[int, bool]:
     """`_aberth_sweeps` with eps = 2^-prec over pairs (re, im) of integers,
-    the points (re + i*im)/2^s, and the integer `coeffs`; `roots` is
-    updated in place.  Moduli are floored square roots, and every product
-    or quotient of two points is floored to a multiple of 2^-s, part by
-    part; sums are exact."""
+    the points (re + i*im)/2^s, and the integer `coeffs`; `upper` is
+    updated in place, and the real roots `reals` are integers on the same
+    grid.  Moduli are floored square roots, and every product or quotient
+    of two points is floored to a multiple of 2^-s, part by part; sums
+    are exact."""
     d = len(coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     moduli = [abs(c) << s for c in reversed(coeffs)]  # high to low, at scale s
     bound = 4 * d << (s - prec)  # 4*d*eps at scale s
-    one, unit = 1 << s, 1 << (2 * s)
-    frozen = [False] * d
+    one, s2 = 1 << s, 2 * s
+    frozen = [False] * len(upper)
     for sweep in range(1, _MAX_SWEEPS + 1):
-        for j in range(d):
+        for j, (zr, zi) in enumerate(upper):
             if frozen[j]:
                 continue
-            zr, zi = roots[j]
             pr, pi = _fixed_horner(coeffs, zr, zi, s)
             size = math.isqrt(zr * zr + zi * zi)
             acc = 0  # the modulus sum |c_0| + |c_1|*|z| + ..., by real Horner
@@ -660,20 +705,30 @@ def _fixed_sweeps(coeffs, roots: list, prec: int, s: int) -> tuple[int, bool]:
                 frozen[j] = True
                 continue
             try:
-                rr = ri = 0  # the repulsion, sum 1/(z - z_i)
-                for i, (xr, xi) in enumerate(roots):
+                # the repulsion, sum 1/(z - x) over the other roots x,
+                # each 1/(cr + i*ci) = (cr - i*ci)/(cr^2 + ci^2); from the
+                # own conjugate, cr = 0 and ci = 2*zi
+                rr, ri = 0, (-1 << s2) // (2 * zi)
+                for i, (xr, xi) in enumerate(upper):
                     if i != j:
-                        cr, ci = zr - xr, zi - xi
-                        norm = cr * cr + ci * ci
-                        rr += unit * cr // norm
-                        ri += -unit * ci // norm
+                        cr = zr - xr
+                        for ci in (zi - xi, zi + xi):
+                            norm = cr * cr + ci * ci
+                            rr += (cr << s2) // norm
+                            ri += (-ci << s2) // norm
+                for x in reals:
+                    cr = zr - x
+                    norm = cr * cr + zi * zi
+                    rr += (cr << s2) // norm
+                    ri += (-zi << s2) // norm
                 dr, di = _fixed_horner(dcoeffs, zr, zi, s)
                 qr, qi = _fixed_div(pr, pi, dr - ((pr * rr - pi * ri) >> s),
                                     di - ((pr * ri + pi * rr) >> s), s)
-                roots[j] = zr - qr, zi - qi
+                upper[j] = zr - qr, abs(zi - qi)
             except ZeroDivisionError:
-                # coincident iterates or a zero Aberth denominator
-                roots[j] = zr + (bound * (size + one) >> s), zi
+                # an iterate on the real axis, coincident iterates or a
+                # zero Aberth denominator
+                upper[j] = zr, zi + (bound * (size + one) >> s)
         if all(frozen):
             return sweep, True
     return _MAX_SWEEPS, False
@@ -698,20 +753,68 @@ def _fixed_div(ar: int, ai: int, br: int, bi: int, s: int) -> tuple[int, int]:
     return ((ar * br + ai * bi) << s) // norm, ((ai * br - ar * bi) << s) // norm
 
 
-def _float_phase(coeffs: tuple[int, ...], starts: list) -> tuple[int, list]:
-    """Double-precision Aberth iterates from the Newton-polygon `starts`,
-    as (z, 0) pairs, and the sweeps they took; the starts themselves and 0
-    sweeps when a coefficient, a start or an iterate is not a finite float."""
+def _float_phase(coeffs: tuple[int, ...], starts: list, reals: list,
+                 s: int) -> tuple[int, list]:
+    """Double-precision Aberth iterates from the upper-half-plane `starts`,
+    as (z, 0) pairs, and the sweeps they took, with the real roots
+    `reals`, integers at scale s, held fixed; the starts themselves and 0
+    sweeps when a coefficient, a real root, a start or an iterate is not a
+    finite float."""
     if any(k for _, k in starts):
         return 0, starts
-    roots = [z for z, _ in starts]
+    upper = [z for z, _ in starts]
     try:
-        sweeps, _ = _aberth_sweeps([float(c) for c in coeffs], roots)
+        sweeps, _ = _aberth_sweeps([float(c) for c in coeffs], upper,
+                                   [x / (1 << s) for x in reals])
     except OverflowError:
         return 0, starts
-    if not all(cmath.isfinite(z) for z in roots):
+    if not all(cmath.isfinite(z) for z in upper):
         return 0, starts
-    return sweeps, [(z, 0) for z in roots]
+    return sweeps, [(z, 0) for z in upper]
+
+
+def _newton_real(f: IntPolynomial, dcoeffs, lo: Fraction, hi: Fraction, s: int) -> int:
+    """The root of the square-free f in its isolating interval (lo, hi) as
+    a point of the grid at scale s: Newton's method on the real line in the
+    solver's fixed point (`_fixed_horner` at im 0), safeguarded as in
+    rtsafe (Press et al., Numerical Recipes).  The grid points a <= b in
+    [lo, hi] bracket the root, and each value's sign moves one of them to
+    the point it was taken at; a Newton step that would leave the bracket,
+    or that is not at most half the step before, is replaced by a
+    bisection of the bracket.  Returns the first point whose value is
+    within the evaluation's error bound 2*(d+1)*max(1,|x|)^d (at scale s;
+    see `_aberth_roots`), where it cannot tell the root from its
+    neighbours, or whose step is 0 on the grid."""
+    d = f.degree
+    a = -(-lo.numerator << s) // lo.denominator
+    b = (hi.numerator << s) // hi.denominator
+    size = max(1 << s, abs(a), abs(b))
+    noise = (2 * (d + 1) * size ** d >> (s * d)) + 1
+    rising = _sign_at(f, lo) < 0
+    x, dx = (a + b) >> 1, b - a
+    while True:
+        v = _fixed_horner(f.coeffs, x, 0, s)[0]
+        if abs(v) <= noise:
+            return x
+        if (v < 0) == rising:
+            a = x
+        else:
+            b = x
+        dv = _fixed_horner(dcoeffs, x, 0, s)[0]
+        step = (v << s) // dv if dv else dx
+        if not a <= x - step <= b or 2 * abs(step) > abs(dx):
+            step = x - ((a + b) >> 1)
+        if step == 0:
+            return x
+        x, dx = x - step, step
+
+
+def _on_grid(x: Fraction, s: int) -> int:
+    """The rational x floored to the grid at scale s, with a sticky last
+    bit set when the floor is inexact, so that it rounds as x itself to
+    any precision at least 2 bits coarser."""
+    q, r = divmod(x.numerator << s, x.denominator)
+    return q | bool(r)
 
 
 def _round_bits(m: int, prec: int) -> int:
@@ -729,63 +832,75 @@ def _floor_scaled(x: float, e: int) -> int:
     return (n << e) // d
 
 
-def _aberth_roots(f: IntPolynomial, precision: int, tol: float
+def _aberth_roots(f: IntPolynomial, intervals: list, precision: int, tol: float
                   ) -> tuple[list[tuple[Fraction, Fraction, float]], SolveDiagnostics]:
     """Roots of a square-free integer polynomial with f(0) != 0, all
     simple, as (re, im, residual), and what the solver did to find them.
+    `intervals` are the exact isolating intervals of f's real roots, as
+    `real_roots_exact` returns them.
 
-    Cheap double-precision sweeps bring the roots close (MPSolve's
-    strategy); sweeps at the working precision prec, started from those
-    iterates, then need only a few more.  Those sweeps (`_fixed_sweeps`),
-    the Newton polish and the residuals run on pairs (re, im) of integers,
-    the grid points (re + i*im)/2^P with P = prec + w + bitlen(d) + 8, w the
-    widest coefficient's bit length, over the integer coefficients.  The
-    starts enter the grid floored, and each part of a root leaves it
-    rounded to prec significant bits, ties to even.  On
-    the grid a sum is exact, a modulus is a floored square root, and a
+    Everything runs on pairs (re, im) of integers, the grid points
+    (re + i*im)/2^P with P = prec + w + bitlen(d) + 8, w the widest
+    coefficient's bit length, over the integer coefficients.  Each real
+    root enters the grid by `_newton_real` from its interval, or floored
+    with a sticky bit (`_on_grid`) where it is exact: an interval with
+    lo == hi, or the root -c_0/c_1 of a linear f.  The u = (d - r)/2
+    nonreal roots of the upper half-plane are found by Aberth's method
+    with the r real roots held fixed and each iterate standing for a
+    conjugate pair.  Cheap double-precision sweeps (`_aberth_sweeps`) from
+    the folded Newton-polygon starts (`_upper_starts`) bring them close
+    (MPSolve's strategy); sweeps at the working precision prec
+    (`_fixed_sweeps`), started from those iterates floored on the grid,
+    then need only a few more.  A Newton polish follows, up to 4 steps
+    per iterate, each p(z)/p'(z) by `_fixed_div`, and stops at a step that
+    is 0 on the grid, after which z could not move.  Each part of a root
+    leaves the grid rounded to prec significant bits, ties to even.
+
+    On the grid a sum is exact, a modulus is a floored square root, and a
     product or quotient of two points, in `_fixed_horner`, `_fixed_div` and
     the repulsion sum, floors each part to a multiple of 2^-P, so it is off
-    by less than sqrt(2)*2^-P.  The polish takes up to 4 Newton steps per
-    root, each p(z)/p'(z) by `_fixed_div`, and stops at a step that is 0 on
-    the grid, after which z could not move.
-
-    Every root has |z| >= 2^-(w+1), since |c_0| >= 1 and |c_i| < 2^w, so
-    each iterate near a root keeps at least prec relative bits.  One Horner
-    evaluation at a point z of the grid floors d + 1 products, and the error
-    of the one made k steps before the end is multiplied by z^k, so it is
-    off by at most 2*(d+1)*2^-P*max(1,|z|)^d.  As |c_0|, |c_d| >= 1, that
-    is below 2^-prec*sum|c_i||z|^i / 8, because 16*(d+1) <=
-    2^(bitlen(d)+4) <= 2^(P-prec).  Bini's freeze test
-    |p(z)| <= 4*d*2^-prec*sum|c_i||z|^i therefore stays sound: rounding
-    moves |p(z)| by under 1/(32*d) of its threshold.
+    by less than sqrt(2)*2^-P.  Every root has |z| >= 2^-(w+1), since
+    |c_0| >= 1 and |c_i| < 2^w, so each iterate near a root keeps at least
+    prec relative bits.  One Horner evaluation at a point z of the grid
+    floors d + 1 products, and the error of the one made k steps before
+    the end is multiplied by z^k, so it is off by at most
+    2*(d+1)*2^-P*max(1,|z|)^d.  As |c_0|, |c_d| >= 1, that is below
+    2^-prec*sum|c_i||z|^i / 8, because 16*(d+1) <= 2^(bitlen(d)+4) <=
+    2^(P-prec).  Bini's freeze test |p(z)| <= 4*d*2^-prec*sum|c_i||z|^i
+    therefore stays sound: rounding moves |p(z)| by under 1/(32*d) of its
+    threshold.
 
     The residual of a root is |f(z)| / (max|c_i| * max(1, |z|)^d) at the
     returned, rounded z, which lies on the grid: rounding a multiple of
-    2^-P to prec bits keeps it one.  The root -c_0/c_1 of a linear f, of
-    modulus above 2^-w, is floored on the grid with a sticky last bit, 8
-    bits below the rounding position, so it rounds as the exact quotient.
-    A conjugate pair is evaluated once, at its member with Im >= 0, since
-    |f(conj z)| = |f(z)| for real f.  A residual above `tol` raises
-    ConvergenceError.
+    2^-P to prec bits keeps it one.  A sticky last bit lies 8 bits below
+    the rounding position, so an exact root rounds as the exact value.  A
+    conjugate pair is evaluated once, since |f(conj z)| = |f(z)| for real
+    f, and its members are (re, im) and (re, -im).  A residual above `tol`
+    raises ConvergenceError.
     """
     d = f.degree
     prec = _working_precision(f, precision)
     w = max(abs(c).bit_length() for c in f.coeffs)
     scale = prec + w + d.bit_length() + 8
-    if d == 1:  # -c_0/c_1, floored on the grid with a sticky bit
-        q, r = divmod(-f.coeffs[0] << scale, f.coeffs[1])
-        grid = [(q | bool(r), 0)]
-        diagnostics = SolveDiagnostics(d, 0, 0, True, prec, 0)
+    dcoeffs = f.derivative().coeffs
+    if d == 1:
+        reals = [_on_grid(Fraction(-f.coeffs[0], f.coeffs[1]), scale)]
     else:
-        float_sweeps, starts = _float_phase(f.coeffs, _newton_polygon_starts(f.coeffs))
-        grid = [(_floor_scaled(z.real, scale + k), _floor_scaled(z.imag, scale + k))
-                for z, k in starts]
-        mp_sweeps, converged = _fixed_sweeps(f.coeffs, grid, prec, scale)
+        reals = [_on_grid(lo, scale) if lo == hi else _newton_real(f, dcoeffs, lo, hi, scale)
+                 for lo, hi in intervals]
+    upper = []
+    float_sweeps = mp_sweeps = polish_steps = 0
+    converged = True
+    u = (d - len(reals)) // 2
+    if u:
+        float_sweeps, starts = _float_phase(f.coeffs, _upper_starts(f.coeffs, u),
+                                            reals, scale)
+        upper = [(_floor_scaled(z.real, scale + k), _floor_scaled(z.imag, scale + k))
+                 for z, k in starts]
+        mp_sweeps, converged = _fixed_sweeps(f.coeffs, upper, reals, prec, scale)
         # Newton polish at full precision, up to 4 steps per root; a step
         # that is 0 on the grid would repeat itself, so it ends the polish
-        dcoeffs = f.derivative().coeffs
-        polish_steps = 0
-        for j, (zr, zi) in enumerate(grid):
+        for j, (zr, zi) in enumerate(upper):
             for _ in range(4):
                 try:
                     qr, qi = _fixed_div(*_fixed_horner(f.coeffs, zr, zi, scale),
@@ -796,22 +911,22 @@ def _aberth_roots(f: IntPolynomial, precision: int, tol: float
                 if not (qr or qi):
                     break
                 zr, zi = zr - qr, zi - qi
-            grid[j] = zr, zi
-        diagnostics = SolveDiagnostics(d, float_sweeps, mp_sweeps, converged, prec,
-                                       polish_steps)
-    roots = [(_round_bits(zr, prec), _round_bits(zi, prec)) for zr, zi in grid]
+            upper[j] = zr, zi
+    diagnostics = SolveDiagnostics(d, len(reals), float_sweeps, mp_sweeps, converged,
+                                   prec, polish_steps)
     norm = max(abs(c) for c in f.coeffs)
-    residuals = {}  # |f(z)| / (max|c_i| * max(1, |z|)^d) on the grid
-    for re, im in {(re, abs(im)) for re, im in roots}:
+    found = []  # a real root is one member, an iterate a conjugate pair
+    for members, (re, im) in [(1, (x, 0)) for x in reals] + [(2, z) for z in upper]:
+        re, im = _round_bits(re, prec), _round_bits(im, prec)
+        # |f(z)| / (max|c_i| * max(1, |z|)^d) on the grid
         vr, vi = _fixed_horner(f.coeffs, re, im, scale)
         size = max(1 << scale, math.isqrt(re * re + im * im))
-        residuals[re, im] = ((math.isqrt(vr * vr + vi * vi) << (scale * (d - 1)))
-                             / (norm * size ** d))
-    found = [(Fraction(re, 1 << scale), Fraction(im, 1 << scale), residuals[re, abs(im)])
-             for re, im in roots]
-    worst = max(residuals.values())
+        residual = (math.isqrt(vr * vr + vi * vi) << (scale * (d - 1))) / (norm * size ** d)
+        found += [(Fraction(re, 1 << scale), Fraction(part, 1 << scale), residual)
+                  for part in (im, -im)[:members]]
+    worst = max(residual for _, _, residual in found)
     if worst > tol:
-        state = "converged but inaccurate" if diagnostics.converged else "stalled"
+        state = "converged but inaccurate" if converged else "stalled"
         raise ConvergenceError(
             f"Aberth iteration {state} (max residual {worst:.3e} > tol {tol:.3e})",
             best=found)

@@ -5,8 +5,9 @@ decomposition, Horner evaluation (exact, and in the solver's fixed point
 against its error bound), the solver's fixed-point division (against the
 exact floors of both parts), its rounding of roots and the CLI's printing
 of them (against mpmath), real-root isolation (against a Sturm count
-and against constructed real roots) and the CLI's JSON writer (against
-json.dumps), on inputs drawn by hypothesis.
+and against constructed real roots), the solver's conjugate pairs and
+real roots (on products of linear and quadratic factors) and the CLI's
+JSON writer (against json.dumps), on inputs drawn by hypothesis.
 
 Examples are derandomized so every run draws the same inputs."""
 
@@ -47,7 +48,9 @@ from dompoly.roots import (
     _refine,
     _round_bits,
     _sign_at,
+    all_roots,
     count_real_roots_in,
+    default_tol,
     real_roots_exact,
     root_bound_pow2,
     square_free_decomposition,
@@ -410,6 +413,41 @@ def test_refinement_equals_bisection(p, width):
     f, _, cells, _, _ = _isolate(p)
     for lo, hi in cells:
         assert _refine(f, lo, hi, width) == bisection_refine(f, lo, hi, width)
+
+
+@st.composite
+def linear_and_quadratic_products(draw):
+    """Products of up to five factors a*x - b and a*x^2 + b*x + c with
+    small integer coefficients, each to the power 1 or 2: rational and
+    irrational real roots, nonreal pairs, and repeated roots."""
+    p = P([draw(st.integers(1, 3))])
+    for _ in range(draw(st.integers(1, 5))):
+        lead = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            factor = P([draw(st.integers(-9, 9)), lead])
+        else:
+            factor = P([draw(st.integers(-9, 9).filter(bool)), draw(st.integers(-9, 9)), lead])
+        p = p * factor ** draw(st.integers(1, 2))
+    return p
+
+
+@deterministic
+@given(linear_and_quadratic_products())
+def test_solver_pairs_conjugates_and_takes_real_roots_from_isolation(p):
+    """Every nonreal root has its conjugate beside it, with equal re,
+    negated im, and equal residual and multiplicity; every real root has im
+    exactly 0 and lies in its isolating interval, one per interval; every
+    residual is within the tolerance."""
+    rs = all_roots(p)
+    real = [r for r in rs.complex_roots if r.im == 0]
+    assert len(real) == len(rs.real_intervals)
+    for r, (lo, hi) in zip(real, rs.real_intervals):
+        assert lo <= r.re <= hi
+    nonreal = [r for r in rs.complex_roots if r.im != 0]
+    assert sorted((r.re, -r.im, r.residual, r.multiplicity) for r in nonreal) == sorted(
+        (r.re, r.im, r.residual, r.multiplicity) for r in nonreal)
+    assert all(r.residual <= default_tol(256) for r in rs.complex_roots)
+    assert rs.nonzero_root_count + rs.zero_multiplicity == p.degree
 
 
 @deterministic

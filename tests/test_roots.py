@@ -3,7 +3,9 @@ multiprecision complex solver, cross-validated against each other."""
 
 import cmath
 import dataclasses
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import pytest
 
 import dompoly.polynomials
 import dompoly.roots
+from dompoly.cli import _nstr
 from dompoly.domination import corona_poly, family_poly
 from dompoly.graphs import FamilySpec
 from dompoly.polynomials import ONE, X, IntPolynomial
@@ -23,6 +26,7 @@ from dompoly.roots import (
     _fixed_sweeps,
     _float_phase,
     _newton_polygon_starts,
+    _upper_starts,
     all_roots,
     count_real_roots_in,
     default_tol,
@@ -319,7 +323,7 @@ def test_all_roots_deterministic():
 def test_all_roots_diagnostics():
     rs = all_roots(friendship(30))
     (diag,) = rs.diagnostics
-    assert (diag.degree, diag.precision) == (60, 256)
+    assert (diag.degree, diag.real_roots, diag.precision) == (60, 2, 256)
     assert diag.converged and diag.float_sweeps > 0
     # Near x = -1.7 doubles cannot evaluate D(F_30, x): their rounding error
     # there exceeds the spacing of the roots, so about half the
@@ -333,30 +337,66 @@ def test_all_roots_diagnostics():
     assert dataclasses.replace(rs, diagnostics=()) == rs
     # the double-precision sweeps are those of CPython 3.11 on x86-64; the
     # fixed-point sweeps from their iterates are exact integer arithmetic;
-    # the polish stops at a zero step, so it takes fewer than 4 steps per root
+    # the polish stops at a zero step, so it takes fewer than 4 steps per
+    # iterate, one per conjugate pair
     (diag,) = all_roots(friendship(9)).diagnostics
-    assert (diag.degree, diag.float_sweeps, diag.mp_sweeps, diag.converged) == (18, 12, 4, True)
-    assert diag.degree <= diag.polish_steps < 4 * diag.degree
+    assert (diag.degree, diag.real_roots, diag.float_sweeps, diag.mp_sweeps,
+            diag.converged) == (18, 0, 14, 4, True)
+    assert diag.degree // 2 <= diag.polish_steps < 2 * diag.degree
     assert dataclasses.replace(diag, polish_steps=0) == diag
 
 
+@pytest.mark.parametrize("p", [friendship(8), family_poly(FamilySpec("cycle", 20)),
+                               (X * (X + 2 * ONE) * P([2, 2, 1])) ** 4,
+                               (X - ONE) ** 2 * (X + 3 * ONE) * P([-2, 0, 1]) * P([1, 3, 1]),
+                               (X * X + ONE) * (3 * X + ONE) ** 2 * (X * X - 3 * ONE) ** 2],
+                         ids=["friendship:8", "cycle:20", "corona", "all-real", "mixed"])
+def test_real_roots_come_from_the_isolation(monkeypatch, p):
+    """Each factor's real roots are those of the one exact isolation, with
+    im exactly 0, one in each of its intervals; the solver iterates one
+    root per conjugate pair, so real_roots + 2*(iterated roots) is each
+    factor's degree.  Factors have distinct multiplicities, listed
+    ascending, so a root's multiplicity names its factor."""
+    calls = []
+    original = dompoly.roots.real_roots_exact
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(dompoly.roots, "real_roots_exact", counting)
+    rs = all_roots(p)
+    assert calls == [1]
+    real = [r for r in rs.complex_roots if r.im == 0]
+    assert len(real) == len(rs.real_intervals)
+    for r, (lo, hi) in zip(real, rs.real_intervals):
+        assert lo <= r.re <= hi
+    mults = sorted({r.multiplicity for r in rs.complex_roots})
+    assert len(mults) == len(rs.diagnostics)
+    for mult, diag in zip(mults, rs.diagnostics):
+        upper = [r for r in rs.complex_roots if r.multiplicity == mult and r.im > 0]
+        assert diag.real_roots == sum(r.multiplicity == mult for r in real)
+        assert diag.real_roots + 2 * len(upper) == diag.degree
+
+
 def test_coincident_iterates_are_nudged_apart():
-    """Two coincident iterates make the repulsion divide by 0; both phases
-    then nudge the moving one off the other and still converge, to the two
-    distinct roots of x^2 - 2."""
-    coeffs = (-2, 0, 1)
-    roots = [1 + 1j, 1 + 1j]
-    _, converged = _aberth_sweeps([float(c) for c in coeffs], roots)
-    assert converged
-    assert sorted(z.real for z in roots) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
-    assert all(abs(z.imag) < 1e-9 for z in roots)
-    prec, scale = 64, 80
-    grid = [(1 << scale, 1 << scale)] * 2
-    _, converged = _fixed_sweeps(coeffs, grid, prec, scale)
-    assert converged
-    assert sorted(re / 2 ** scale for re, _ in grid) == pytest.approx(
-        [-math.sqrt(2), math.sqrt(2)])
-    assert all(abs(im) < 2 ** (scale - 30) for _, im in grid)
+    """Two coincident iterates, or one on the real axis, make the repulsion
+    divide by 0; both phases then nudge the moving iterate up, off the
+    other and off the axis, and still converge, to the upper roots i and 2i
+    of (x^2 + 1)(x^2 + 4), and to i for x^2 + 1 from the start 1."""
+    for coeffs, starts, expect in [((4, 0, 5, 0, 1), [1 + 1j, 1 + 1j], [1, 2]),
+                                   ((1, 0, 1), [1 + 0j], [1])]:
+        upper = list(starts)
+        _, converged = _aberth_sweeps([float(c) for c in coeffs], upper, [])
+        assert converged
+        assert sorted(z.imag for z in upper) == pytest.approx(expect)
+        assert all(abs(z.real) < 1e-9 for z in upper)
+        prec, scale = 64, 80
+        grid = [(int(z.real) << scale, int(z.imag) << scale) for z in starts]
+        _, converged = _fixed_sweeps(coeffs, grid, [], prec, scale)
+        assert converged
+        assert sorted(im / 2 ** scale for _, im in grid) == pytest.approx(expect)
+        assert all(abs(re) < 2 ** (scale - 30) for re, _ in grid)
 
 
 def test_all_roots_default_tol_follows_precision():
@@ -398,19 +438,23 @@ def test_all_roots_wilkinson():
 
 
 def test_float_phase_stops_at_a_non_finite_iterate():
-    """The double-precision sweeps of friendship:60 (degree 120 after the
-    root 0) overflow within a few sweeps; they stop there instead of running
-    all _MAX_SWEEPS, and the phase still hands the Newton-polygon starts on
-    unchanged, so `all_roots` reports float_sweeps 0 and the same 67
-    fixed-point sweeps as before the early stop."""
-    p = friendship(60)
+    """The double-precision sweeps of friendship:70 (degree 140 after the
+    root 0: 2 real roots and 69 conjugate pairs) overflow within a few
+    sweeps; they stop there instead of running all _MAX_SWEEPS, and the
+    phase hands the folded Newton-polygon starts on unchanged, so
+    `all_roots` reports float_sweeps 0 and starts at the working precision
+    from them."""
+    p = friendship(70)
     coeffs = p.coeffs[p.valuation:]
-    starts = _newton_polygon_starts(coeffs)
-    roots = [z for z, _ in starts]
-    sweeps, converged = _aberth_sweeps([float(c) for c in coeffs], roots)
+    intervals = real_roots_exact(P(coeffs))
+    starts = _upper_starts(coeffs, (len(coeffs) - 1 - len(intervals)) // 2)
+    assert len(starts) == 69 and all(z.imag > 0 and k == 0 for z, k in starts)
+    upper = [z for z, _ in starts]
+    reals = [float((lo + hi) / 2) for lo, hi in intervals]
+    sweeps, converged = _aberth_sweeps([float(c) for c in coeffs], upper, reals)
     assert sweeps < _MAX_SWEEPS and not converged
-    assert not all(map(cmath.isfinite, roots))
-    assert _float_phase(coeffs, starts) == (0, starts)
+    assert not all(map(cmath.isfinite, upper))
+    assert _float_phase(coeffs, starts, [round(x * 2 ** 40) for x in reals], 40) == (0, starts)
 
 
 def test_all_roots_without_float_phase():
@@ -493,6 +537,36 @@ def test_all_roots_evaluates_nothing_in_mpmath(monkeypatch, p):
     rs = all_roots(p)
     assert calls == [1]
     assert all(r.residual <= 1e-20 for r in rs.complex_roots)
+
+
+PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "roots_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("member", sorted(PINNED))
+def test_roots_reproduce_the_pinned_members(member):
+    """Every root of the members that the roots-solve benchmark draws,
+    friendship, book and book_contracted 4..9 and cycle, path, star and
+    complete 8..20, as the CLI prints it: re and im to 20 digits, and the
+    residual.  They were recorded when the solver still iterated every
+    root, real ones included; a nonreal root keeps all three strings, and
+    a real root, now taken from the exact isolation, keeps re, has im
+    exactly 0 where the iteration left rounding noise below 1e-40, and
+    has a residual within the tolerance."""
+    kind, n = member.split(":")
+    rs = all_roots(family_poly(FamilySpec(kind, int(n))))
+    got = [[_nstr(r.re), _nstr(r.im), repr(r.residual)] for r in rs.complex_roots]
+    pinned = PINNED[member]
+    assert len(got) == len(pinned)
+    real = 0
+    for (re, im, residual), (pin_re, pin_im, pin_residual) in zip(got, pinned):
+        assert re == pin_re
+        if im == "0.0":
+            real += 1
+            assert abs(float(pin_im)) < 1e-40
+            assert float(residual) <= default_tol(256)
+        else:
+            assert (im, residual) == (pin_im, pin_residual)
+    assert real == len(rs.real_intervals)
 
 
 def test_newton_polygon_starts_match_root_moduli():
